@@ -9,7 +9,8 @@ encoders that feed the detectors.
 from .boxes import (CLASS_IDS, CLASS_NAMES, Box3D, array_to_boxes,
                     bev_corners, bev_intersection_area, boxes_to_array,
                     clip_polygon, iou_3d, iou_bev, iou_matrix_3d,
-                    iou_matrix_bev, points_in_box, polygon_area)
+                    iou_matrix_bev, iou_pairs_bev, points_in_box,
+                    polygon_area)
 from .kitti import export_kitti, load_kitti, read_labels, write_labels
 from .lidar import LidarConfig, LidarScanner
 from .scenes import (SCENARIOS, Scene, SceneConfig, SceneGenerator,
@@ -22,7 +23,8 @@ from .voxelize import (PillarConfig, PillarEncoder, Pillars, VoxelConfig,
 __all__ = [
     "Box3D", "boxes_to_array", "array_to_boxes", "bev_corners",
     "polygon_area", "clip_polygon", "bev_intersection_area", "iou_bev",
-    "iou_3d", "iou_matrix_bev", "iou_matrix_3d", "points_in_box",
+    "iou_3d", "iou_pairs_bev", "iou_matrix_bev", "iou_matrix_3d",
+    "points_in_box",
     "CLASS_NAMES", "CLASS_IDS",
     "LidarConfig", "LidarScanner",
     "Scene", "SceneConfig", "SceneGenerator", "make_dataset",

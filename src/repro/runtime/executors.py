@@ -30,6 +30,7 @@ opt-in, populated by the executors while they run.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager, nullcontext
 
 from repro.nn.graph import layer_map
@@ -42,6 +43,23 @@ from .telemetry import LayerTelemetry, telemetry_digest
 __all__ = ["LoweredProgram", "EXECUTION_MODES"]
 
 EXECUTION_MODES = ("reference", "lowered", "lowered-sparse")
+
+# One re-entrant lock per model object, shared by every program that
+# attaches to it: patching rewrites the *model's* ``forward`` slots, so
+# exclusion must be per model, not per program.  The locks live here,
+# not on the model, so models still pickle (process replicas) and
+# deep-copy; weak keys let a model and its lock be collected together.
+_MODEL_LOCKS: "weakref.WeakKeyDictionary[Module, threading.RLock]" = \
+    weakref.WeakKeyDictionary()
+_MODEL_LOCKS_GUARD = threading.Lock()
+
+
+def _model_lock(model: Module) -> threading.RLock:
+    with _MODEL_LOCKS_GUARD:
+        lock = _MODEL_LOCKS.get(model)
+        if lock is None:
+            lock = _MODEL_LOCKS[model] = threading.RLock()
+        return lock
 
 
 class LoweredProgram:
@@ -72,12 +90,11 @@ class LoweredProgram:
         #: ``layer name → LayerTelemetry`` — empty until telemetry is
         #: enabled; the counters are live objects the executors update.
         self.telemetry: dict[str, LayerTelemetry] = {}
-        # Attachment mutates shared state (module.forward slots, the
-        # executors' telemetry slots), so a program shared by several
-        # workers must be attached by one at a time; the serving layer
-        # leases whole replicas, and this lock is the hard backstop.
-        # Re-entrant so one thread may enable telemetry around its own
-        # attachment.
+        # Attachment mutates the executors' telemetry slots, so a
+        # program shared by several workers is attached by one at a
+        # time (the model's own lock, taken after this one, guards its
+        # forward slots).  Re-entrant so one thread may enable
+        # telemetry around its own attachment.
         self._attach_lock = threading.RLock()
         if telemetry:
             self.enable_telemetry()
@@ -169,14 +186,17 @@ class LoweredProgram:
         a micro-batched window the bbox is the union across the member
         frames, because every scatter observes into this one context.
 
-        Attachment is exclusive: the whole block holds the program's
-        attach lock, because patching rewrites ``module.forward`` slots
-        that every thread sharing the model would see.  Concurrency
-        comes from a *pool* of program/model replicas (the serving
-        engine leases one per in-flight window), never from attaching
-        one replica on two threads at once.
+        Attachment is exclusive per program *and* per model: the block
+        holds the program's attach lock (which also guards its
+        telemetry slots), then the model's lock, always in that order.
+        The model lock is what keeps two programs over one shared model
+        — two serving replicas built from one model object — from
+        interleaving their patches: without it one could restore the
+        float forwards, or leave its ``routed`` installed, while the
+        other is mid-window.  Windows over a shared model therefore
+        run one at a time; parallelism needs a model per replica.
         """
-        with self._attach_lock:
+        with self._attach_lock, _model_lock(model):
             layers = layer_map(model)
             patched: list[tuple[Module, object]] = []
             for name, executor in self.executors.items():

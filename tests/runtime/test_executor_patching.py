@@ -1,6 +1,6 @@
 """Regression tests for LoweredProgram's forward patching.
 
-Two bugs are pinned here:
+Three bugs are pinned here:
 
 * restore order — when two IR names resolve to the *same* shared
   module, the second patch captures the first ``routed`` as its
@@ -9,7 +9,14 @@ Two bugs are pinned here:
 * argument forwarding — ``routed`` used to silently discard extra
   positional args and all kwargs, changing the patched layer's call
   semantics instead of failing loudly.
+* shared-model interleaving — two programs over one model used to
+  exclude each other only per program, so one could patch (or restore)
+  the model's forwards while the other was mid-attachment.
+
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -46,12 +53,12 @@ def _input(shape=(1, 3, 6, 6), seed=0):
     return Tensor(rng.standard_normal(shape).astype(np.float32))
 
 
-def _program_for(model):
+def _program_for(model, weight_bits=8):
     layers = layer_map(model)
     x = _input()
     executors = {
         name: QuantizedConv2d.from_float(
-            module, activation_scale(x.data), weight_bits=8)
+            module, activation_scale(x.data), weight_bits=weight_bits)
         for name, module in layers.items()}
     return layers, LoweredProgram(executors)
 
@@ -141,3 +148,95 @@ class TestRoutedArgumentForwarding:
         with program.attached(model):
             with pytest.raises(TypeError):
                 layers["trunk"].forward(_input(), _input())
+
+
+class TestSharedModelPrograms:
+    """Two programs (e.g. two serving replicas) over one model object."""
+
+    @staticmethod
+    def _installed(module):
+        """The executor a patched ``routed`` forward runs, else None."""
+        run = (getattr(module.forward, "__kwdefaults__", None) or {}).get("_run")
+        return getattr(run, "__self__", None)
+
+    def test_second_program_waits_for_first(self):
+        model = SharedConvNet()
+        conv = layer_map(model)["trunk"]
+        _, program_a = _program_for(model)
+        _, program_b = _program_for(model)
+        a_inside, a_release = threading.Event(), threading.Event()
+        b_inside, b_release = threading.Event(), threading.Event()
+        seen_by_a, seen_by_b = [], []
+
+        def run_a():
+            with program_a.attached(model):
+                a_inside.set()
+                a_release.wait(10)
+                seen_by_a.append(self._installed(conv))
+
+        def run_b():
+            a_inside.wait(10)
+            with program_b.attached(model):
+                b_inside.set()
+                b_release.wait(10)
+                seen_by_b.append(self._installed(conv))
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        try:
+            assert a_inside.wait(10)
+            # B is started and asks for the model while A holds it: it
+            # must not get in (nor patch anything) until A exits.
+            assert not b_inside.wait(0.5)
+            assert self._installed(conv) is program_a.executors["alias"]
+            a_release.set()
+            threads[0].join(10)
+            assert b_inside.wait(10)
+        finally:
+            a_release.set()
+            b_release.set()
+            for thread in threads:
+                thread.join(10)
+        assert seen_by_a == [program_a.executors["alias"]]
+        assert seen_by_b == [program_b.executors["alias"]]
+        assert TestSharedModuleRestore._runs_class_forward(conv)
+
+    def test_stress_many_programs_one_model(self):
+        """More threads than cores, each attaching its own program to one
+        model with a tiny switch interval: every forward must be its own
+        program's output, and the float forward must come back."""
+        model = SharedConvNet()
+        model.eval()
+        conv = layer_map(model)["trunk"]
+        x = _input()
+        programs = [_program_for(model, bits)[1] for bits in (4, 6, 8, 12)]
+        expected = []
+        for program in programs:
+            with program.attached(model):
+                expected.append(model.forward(x).data.copy())
+        assert not all(np.array_equal(expected[0], e) for e in expected[1:])
+        mismatches = []
+
+        def worker(k):
+            for _ in range(25):
+                with programs[k].attached(model):
+                    out = model.forward(x).data
+                if not np.array_equal(out, expected[k]):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(len(programs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert TestSharedModuleRestore._runs_class_forward(conv)
