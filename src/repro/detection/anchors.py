@@ -55,18 +55,20 @@ class AnchorGrid:
         ys = y_range[0] + (np.arange(ny) + 0.5) * step_y
 
         anchors = []
-        labels = []
+        class_ids = []
         for row in range(ny):
             for col in range(nx):
-                for cls in config.class_names:
+                for class_id, cls in enumerate(config.class_names):
                     dx, dy, dz = config.sizes[cls]
                     z = config.center_z[cls]
                     for yaw in config.rotations:
                         anchors.append([xs[col], ys[row], z,
                                         dx, dy, dz, yaw])
-                        labels.append(cls)
+                        class_ids.append(class_id)
         self.boxes = np.array(anchors, dtype=np.float32)
-        self.labels = np.array(labels)
+        #: index of each anchor's class in ``config.class_names``
+        self.class_ids = np.array(class_ids, dtype=np.int64)
+        self.labels = np.array(config.class_names)[self.class_ids]
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -23,7 +23,7 @@ from ..base import Detector3D
 from .backbone import PointPillarsBackbone
 from .head import SSDHead
 
-__all__ = ["PointPillars"]
+__all__ = ["PointPillars", "decode_anchor_head"]
 
 
 class PointPillars(Detector3D):
@@ -118,7 +118,9 @@ class PointPillars(Detector3D):
         self.eval()
         with nn.no_grad():
             outputs = self.forward(*self.preprocess(scene))
-        return self._decode_head_outputs(outputs, scene.frame_id)
+        return decode_anchor_head(self.head, self.anchor_grid, outputs,
+                                  scene.frame_id, self.score_threshold,
+                                  self.nms_iou)
 
     def predict_batch(self, scenes) -> list[DetectionResult]:
         """Batched inference: per-scene pillar encoding, one trunk pass.
@@ -145,32 +147,46 @@ class PointPillars(Detector3D):
             canvas = Tensor(np.concatenate(
                 [c.data for c in canvases], axis=0))
             outputs = self.head(self.backbone(canvas))
-        return [self._decode_head_outputs(
+        return [decode_anchor_head(
+                    self.head, self.anchor_grid,
                     {key: Tensor(value.data[i:i + 1])
                      for key, value in outputs.items()},
-                    scene.frame_id)
+                    scene.frame_id, self.score_threshold, self.nms_iou)
                 for i, scene in enumerate(scenes)]
 
-    def _decode_head_outputs(self, outputs: dict,
-                             frame_id: int) -> DetectionResult:
-        cls_flat, reg_flat = self.head.flatten_outputs(outputs)
-        scores = 1.0 / (1.0 + np.exp(-cls_flat.data))
-        deltas = reg_flat.data
 
-        boxes_out = []
-        for cls in self.anchor_config.class_names:
-            cls_mask = (self.anchor_grid.labels == cls) \
-                & (scores >= self.score_threshold)
-            idx = np.where(cls_mask)[0]
-            if len(idx) == 0:
-                continue
-            # Keep the strongest candidates before the O(n^2) NMS.
-            idx = idx[np.argsort(-scores[idx])[:64]]
-            decoded = decode_boxes(deltas[idx], self.anchor_grid.boxes[idx])
-            keep = nms_bev(decoded, scores[idx], iou_threshold=self.nms_iou,
-                           max_keep=20)
-            kept = array_to_boxes(decoded[keep],
-                                  labels=[cls] * len(keep),
-                                  scores=scores[idx][keep])
-            boxes_out.extend(kept)
-        return DetectionResult(boxes=boxes_out, frame_id=frame_id)
+def decode_anchor_head(head: SSDHead, anchor_grid: AnchorGrid,
+                       outputs: dict, frame_id: int,
+                       score_threshold: float,
+                       iou_threshold: float = 0.3) -> DetectionResult:
+    """One frame's anchor-head maps → class-labelled, NMS-filtered boxes.
+
+    Per class, the 64 highest-scoring anchors at or above
+    ``score_threshold`` are decoded, and one class-grouped rotated NMS
+    keeps at most 20 boxes per class.  Boxes come out class by class in
+    ``anchor_grid.config.class_names`` order, each class's by
+    descending score.  ``nms_bev`` is looked up in this module at call
+    time, so a wrapper bound to
+    ``repro.models.pointpillars.model.nms_bev`` sees every detector's
+    NMS call.
+    """
+    cls_flat, reg_flat = head.flatten_outputs(outputs)
+    scores = 1.0 / (1.0 + np.exp(-cls_flat.data))
+    names = anchor_grid.config.class_names
+    passing = np.flatnonzero(scores >= score_threshold)
+    passing_class = anchor_grid.class_ids[passing]
+    # Keep each class's strongest candidates before the O(n^2) NMS.
+    tops = []
+    for class_id in range(len(names)):
+        members = passing[passing_class == class_id]
+        tops.append(members[np.argsort(-scores[members])[:64]])
+    idx = np.concatenate(tops)
+    class_ids, candidate_scores = anchor_grid.class_ids[idx], scores[idx]
+    decoded = decode_boxes(reg_flat.data[idx], anchor_grid.boxes[idx])
+    keep = nms_bev(decoded, candidate_scores, iou_threshold=iou_threshold,
+                   max_keep=20, groups=class_ids)
+    return DetectionResult(
+        boxes=array_to_boxes(
+            decoded[keep], labels=[names[c] for c in class_ids[keep].tolist()],
+            scores=candidate_scores[keep]),
+        frame_id=frame_id)

@@ -15,15 +15,15 @@ import numpy as np
 
 from repro import nn
 from repro.detection import (AnchorConfig, AnchorGrid, DetectionResult,
-                             assign_targets, decode_boxes, nms_bev)
+                             assign_targets)
 from repro.nn import Tensor
-from repro.pointcloud.boxes import array_to_boxes
 from repro.pointcloud.scenes import Scene
 from repro.pointcloud.voxelize import VoxelConfig, VoxelEncoder
 
 from .base import Detector3D
 from .pointpillars.backbone import PointPillarsBackbone
 from .pointpillars.head import SSDHead
+from .pointpillars.model import decode_anchor_head
 
 __all__ = ["SECOND"]
 
@@ -98,20 +98,5 @@ class SECOND(Detector3D):
         self.eval()
         with nn.no_grad():
             outputs = self.forward(*self.preprocess(scene))
-        cls_flat, reg_flat = self.head.flatten_outputs(outputs)
-        scores = 1.0 / (1.0 + np.exp(-cls_flat.data))
-        boxes_out = []
-        for cls in self.anchor_config.class_names:
-            mask = (self.anchor_grid.labels == cls) \
-                & (scores >= self.score_threshold)
-            idx = np.where(mask)[0]
-            if len(idx) == 0:
-                continue
-            idx = idx[np.argsort(-scores[idx])[:64]]
-            decoded = decode_boxes(reg_flat.data[idx],
-                                   self.anchor_grid.boxes[idx])
-            keep = nms_bev(decoded, scores[idx], max_keep=20)
-            boxes_out.extend(array_to_boxes(decoded[keep],
-                                            labels=[cls] * len(keep),
-                                            scores=scores[idx][keep]))
-        return DetectionResult(boxes=boxes_out, frame_id=scene.frame_id)
+        return decode_anchor_head(self.head, self.anchor_grid, outputs,
+                                  scene.frame_id, self.score_threshold)

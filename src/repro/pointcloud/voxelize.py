@@ -89,17 +89,18 @@ class PillarEncoder:
         features = np.zeros((n_pillars, max_pts, self.FEATURE_DIM),
                             dtype=np.float32)
         mask = np.zeros((n_pillars, max_pts), dtype=np.float32)
-        fill = np.zeros(n_pillars, dtype=np.int64)
 
+        # The stable sort groups points by pillar in input order, so a
+        # point's slot is its rank inside its group; points past the
+        # pillar's capacity are dropped.
         order = np.argsort(inverse, kind="stable")
-        for point_idx in order:
-            pillar = inverse[point_idx]
-            slot = fill[pillar]
-            if slot >= max_pts:
-                continue
-            features[pillar, slot, :4] = pts[point_idx]
-            mask[pillar, slot] = 1.0
-            fill[pillar] += 1
+        pillar = inverse[order]
+        sizes = np.bincount(inverse, minlength=n_pillars)
+        slot = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[pillar]
+        fits = slot < max_pts
+        pillar, slot = pillar[fits], slot[fits]
+        features[pillar, slot, :4] = pts[order[fits]]
+        mask[pillar, slot] = 1.0
 
         indices = np.stack([unique_cells // nx, unique_cells % nx], axis=1)
 

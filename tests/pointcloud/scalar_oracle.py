@@ -1,6 +1,6 @@
-"""Scalar rotated-box geometry and NMS: the test oracle for the batched kernel.
+"""Scalar point-cloud code: the test oracle for the vectorized versions.
 
-This is the original one-pair-at-a-time implementation (pure-Python
+Most of this is the original one-pair-at-a-time geometry (pure-Python
 Sutherland–Hodgman clipping, a per-pair loop for the IoU matrices, and
 greedy NMS that rescans the whole order list).  ``src/`` computes all of
 these through one batched clipping kernel; the parity suites check the
@@ -8,6 +8,9 @@ batched results against this module.  It is kept as it was (only the
 matrices' circle test is pulled out as :func:`circle_rejects`), quirks
 included: NaN footprints get their winding reversed, and 3D IoU of
 float32 boxes is rounded to float32 under NumPy 2 promotion rules.
+
+:func:`encode_pillars` is the original ``PillarEncoder.encode`` with its
+per-point scatter loop, the oracle for the vectorized scatter.
 """
 
 from __future__ import annotations
@@ -152,3 +155,63 @@ def nms_bev(boxes: np.ndarray, scores: np.ndarray,
             if iou_bev(boxes[idx], boxes[other]) > iou_threshold:
                 suppressed[other] = True
     return np.array(keep, dtype=np.int64)
+
+
+def encode_pillars(cfg, points: np.ndarray):
+    """``PillarEncoder(cfg).encode(points)`` with one loop step per point.
+
+    Returns ``(features, mask, indices)``.
+    """
+    pts = np.asarray(points, dtype=np.float32)
+    in_range = ((pts[:, 0] >= cfg.x_range[0]) & (pts[:, 0] < cfg.x_range[1])
+                & (pts[:, 1] >= cfg.y_range[0]) & (pts[:, 1] < cfg.y_range[1])
+                & (pts[:, 2] >= cfg.z_range[0]) & (pts[:, 2] < cfg.z_range[1]))
+    pts = pts[in_range]
+    rows = ((pts[:, 1] - cfg.y_range[0]) / cfg.pillar_size).astype(np.int64)
+    cols = ((pts[:, 0] - cfg.x_range[0]) / cfg.pillar_size).astype(np.int64)
+    ny, nx = cfg.grid_shape
+    flat = rows * nx + cols
+
+    unique_cells, inverse = np.unique(flat, return_inverse=True)
+    if len(unique_cells) > cfg.max_pillars:
+        # Keep the most populated pillars.
+        counts = np.bincount(inverse)
+        keep = np.argsort(-counts)[:cfg.max_pillars]
+        keep_set = np.zeros(len(unique_cells), dtype=bool)
+        keep_set[keep] = True
+        point_keep = keep_set[inverse]
+        pts = pts[point_keep]
+        flat = flat[point_keep]
+        unique_cells, inverse = np.unique(flat, return_inverse=True)
+
+    n_pillars = len(unique_cells)
+    max_pts = cfg.max_points_per_pillar
+    features = np.zeros((n_pillars, max_pts, 9), dtype=np.float32)
+    mask = np.zeros((n_pillars, max_pts), dtype=np.float32)
+    fill = np.zeros(n_pillars, dtype=np.int64)
+
+    order = np.argsort(inverse, kind="stable")
+    for point_idx in order:
+        pillar = inverse[point_idx]
+        slot = fill[pillar]
+        if slot >= max_pts:
+            continue
+        features[pillar, slot, :4] = pts[point_idx]
+        mask[pillar, slot] = 1.0
+        fill[pillar] += 1
+
+    indices = np.stack([unique_cells // nx, unique_cells % nx], axis=1)
+
+    # Offsets to the per-pillar centroid of real points.
+    counts = mask.sum(axis=1, keepdims=True)
+    centroid = (features[:, :, :3] * mask[:, :, None]).sum(axis=1,
+                                                           keepdims=True)
+    centroid = centroid / np.maximum(counts[:, :, None], 1.0)
+    features[:, :, 4:7] = (features[:, :, :3] - centroid) * mask[:, :, None]
+
+    # Offsets to the pillar's geometric center.
+    center_x = cfg.x_range[0] + (indices[:, 1] + 0.5) * cfg.pillar_size
+    center_y = cfg.y_range[0] + (indices[:, 0] + 0.5) * cfg.pillar_size
+    features[:, :, 7] = (features[:, :, 0] - center_x[:, None]) * mask
+    features[:, :, 8] = (features[:, :, 1] - center_y[:, None]) * mask
+    return features, mask, indices

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.pointcloud import (PillarConfig, PillarEncoder, VoxelConfig,
                               VoxelEncoder)
+from repro.pointcloud.scenes import SceneConfig, SceneGenerator
+from tests.pointcloud import scalar_oracle as oracle
 
 
 def cloud(points):
@@ -86,6 +88,76 @@ class TestPillarEncoder:
         # Wherever the mask is 0, all features must be 0.
         empty = pillars.mask == 0
         assert np.abs(pillars.features[empty]).sum() == 0
+
+
+def _assert_matches_oracle(config, points):
+    pillars = PillarEncoder(config).encode(points)
+    expected = oracle.encode_pillars(config, points)
+    for got, want in zip((pillars.features, pillars.mask, pillars.indices),
+                         expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return pillars
+
+
+def _small_config(max_points=4, max_pillars=16):
+    return PillarConfig(x_range=(0, 8), y_range=(-4, 4), z_range=(-1, 3),
+                        pillar_size=1.0, max_points_per_pillar=max_points,
+                        max_pillars=max_pillars)
+
+
+class TestPillarScatterParity:
+    """The vectorized scatter is byte-equal to the per-point loop."""
+
+    def test_empty_cloud(self):
+        pillars = _assert_matches_oracle(_small_config(),
+                                         np.zeros((0, 4), np.float32))
+        assert pillars.num_pillars == 0
+
+    def test_all_out_of_range(self):
+        points = cloud([[-1.0, 0.0, 0.0, 0.1], [9.0, 0.0, 0.0, 0.2],
+                        [2.0, 5.0, 0.0, 0.3], [2.0, 0.0, 3.5, 0.4]])
+        pillars = _assert_matches_oracle(_small_config(), points)
+        assert pillars.num_pillars == 0
+
+    def test_duplicates_overflow_a_pillar(self):
+        points = cloud([[2.5, 0.5, 0.5, 0.1]] * 7 + [[2.2, 0.9, 1.0, 0.9]]
+                       + [[6.5, -3.5, 0.0, 0.2]] * 2)
+        pillars = _assert_matches_oracle(_small_config(max_points=4), points)
+        assert pillars.mask.sum() == 4 + 2
+
+    def test_max_pillars_overflow(self):
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, 8, size=(300, 2))
+        points = np.column_stack([
+            cells[:, 0] + rng.uniform(0, 1, 300),
+            cells[:, 1] - 4 + rng.uniform(0, 1, 300),
+            rng.uniform(-1, 3, 300), rng.uniform(0, 1, 300)])
+        pillars = _assert_matches_oracle(
+            _small_config(max_points=3, max_pillars=5), points)
+        assert pillars.num_pillars == 5
+
+    def test_generated_scene(self):
+        scene = SceneGenerator(SceneConfig(), seed=0).generate(
+            0, with_image=False)
+        _assert_matches_oracle(PillarConfig(), scene.points)
+
+    @given(st.integers(0, 99999), st.integers(0, 300),
+           st.integers(1, 30), st.integers(1, 6), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_clouds(self, seed, n_points, n_cells, max_points,
+                           max_pillars):
+        """Points crowd a few cells (overflowing pillars), repeat exactly,
+        and spill past the grid on every axis."""
+        rng = np.random.default_rng(seed)
+        cells = rng.uniform([-1, -5, -2], [9, 5, 4], size=(n_cells, 3))
+        picked = cells[rng.integers(0, n_cells, n_points)]
+        jitter = rng.uniform(-0.5, 0.5, (n_points, 3))
+        jitter[rng.uniform(size=n_points) < 0.3] = 0.0   # exact repeats
+        points = np.column_stack([picked + jitter,
+                                  rng.uniform(0, 1, n_points)])
+        _assert_matches_oracle(_small_config(max_points, max_pillars),
+                               points.astype(np.float32))
 
 
 class TestVoxelEncoder:
