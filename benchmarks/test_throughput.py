@@ -1,24 +1,18 @@
 """Micro-benchmark: batched lowered execution vs per-frame execution.
 
-Measures the perf wins of the lowered-execution PRs as separate
+Measures the perf wins of the lowered-execution work as separate
 numbers:
 
 * **geometry cache** — per-frame throughput with warm shape plans vs
   cold (cache cleared before every frame);
 * **micro-batching** — batched windows of 1/2/4/8 frames through one
-  gather + one gemm per layer vs warm per-frame execution;
-* **occupancy-gated sparsity** — the compressed tiny detector's
-  executor stack replayed on inputs captured from real sparse scenario
-  streams, dense vs under an active occupancy context
-  (``sparse_speedup_vs_dense``).
+  gather + one gemm per layer vs warm per-frame execution.
 
-Writes ``BENCH_throughput.json`` at the repo root.  The batched and
-sparse passes are bit-identical to the sequential dense one (pinned by
-``tests/nn/test_batched_quantized.py`` and
-``tests/runtime/test_sparse_execution.py``), so this file only
-measures — plus guard assertions that the machinery actually pays:
-batch-8 must beat warm per-frame by >= 2x and sparse must beat dense
-on ``far_sparse`` (both floors relax to >= 1.0x under
+Writes ``BENCH_throughput.json`` at the repo root.  The batched passes
+are bit-identical to the sequential one (pinned by
+``tests/nn/test_batched_quantized.py``), so this file only measures —
+plus a guard assertion that the machinery actually pays: batch-8 must
+beat warm per-frame by >= 2x (relaxed to >= 1.0x under
 ``REPRO_BENCH_TINY=1``, where runs are sized for shared CI runners).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_throughput.py -q``.
@@ -33,7 +27,6 @@ import numpy as np
 from repro import nn
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn.occupancy import activate_occupancy
 from repro.nn.quantized import (QuantizedConv2d, QuantizedConvTranspose2d,
                                 QuantizedLinear, activation_scale)
 
@@ -41,9 +34,6 @@ TINY = os.environ.get("REPRO_BENCH_TINY", "0") == "1"
 BATCH_SIZES = (1, 2, 4, 8)
 FRAMES = 16 if TINY else 32
 REPEATS = 5
-SPARSE_SCENARIOS = ("far_sparse", "sensor_dropout")
-SPARSE_FRAMES = 4 if TINY else 8
-SPARSE_REPEATS = 15 if TINY else 40
 OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                         "BENCH_throughput.json")
 
@@ -187,101 +177,3 @@ def test_throughput_report():
         f"batch-8 only {report['batch8_speedup_vs_per_frame']:.2f}x "
         f"over per-frame (floor {floor}x)")
 
-
-# ---------------------------------------------------------------------------
-# Occupancy-gated sparse execution
-# ---------------------------------------------------------------------------
-
-def _captured_stack(scenario):
-    """The compressed tiny detector's executor calls on a real stream.
-
-    Streams ``scenario`` scenes through the lowered program once while
-    recording every ``(executor, input)`` call — the honest workload
-    for the sparse/dense comparison, because the canvas sparsity the
-    occupancy machinery exploits (e.g. the PFN's ~70% padded point
-    slots on ``far_sparse``) only exists in scene-derived activations,
-    not in synthetic dense tensors.
-    """
-    from repro.core import UPAQCompressor
-    from repro.fuzzing.matrix import build_fuzz_model, build_preset_config
-    from repro.ir.lowering import lower_executors
-    from repro.pointcloud import make_scenario_scenes
-    from repro.runtime.executors import LoweredProgram
-
-    base = build_fuzz_model("tiny")
-    outcome = UPAQCompressor(build_preset_config("hck")).compress(
-        base, *base.example_inputs())
-    model = outcome.model
-    model.eval()
-    program = LoweredProgram(lower_executors(outcome.ir, model),
-                             mode="lowered")
-
-    captured = []
-    for executor in program.executors.values():
-        def recorder(x, _ex=executor, _orig=executor.forward):
-            captured.append((_ex, x))
-            return _orig(x)
-        object.__setattr__(executor, "forward", recorder)
-    try:
-        scenes = make_scenario_scenes(scenario, SPARSE_FRAMES, seed=0)
-        with program.attached(model):
-            for scene in scenes:
-                model.predict(scene)
-    finally:
-        for executor in program.executors.values():
-            object.__delattr__(executor, "forward")
-    return captured
-
-
-def _time_interleaved(fn_a, fn_b, repeats):
-    """Best-of wall times of two workloads, alternated every repeat so
-    neither side systematically inherits a warmer cache/allocator."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        mid = time.perf_counter()
-        fn_b()
-        best_a = min(best_a, mid - start)
-        best_b = min(best_b, time.perf_counter() - mid)
-    return best_a, best_b
-
-
-def test_sparse_throughput_report():
-    speedups = {}
-    for scenario in SPARSE_SCENARIOS:
-        captured = _captured_stack(scenario)
-
-        def dense():
-            for executor, x in captured:
-                executor.forward(x)
-
-        def sparse():
-            with activate_occupancy():
-                for executor, x in captured:
-                    executor.forward(x)
-
-        # Warm both paths (shape plans, window plans) before timing.
-        dense()
-        sparse()
-        dense_s, sparse_s = _time_interleaved(dense, sparse,
-                                              SPARSE_REPEATS)
-        speedups[scenario] = dense_s / sparse_s
-        print(f"\nsparse vs dense on {scenario}: "
-              f"dense {SPARSE_FRAMES / dense_s:.1f} fps, "
-              f"sparse {SPARSE_FRAMES / sparse_s:.1f} fps "
-              f"({speedups[scenario]:.2f}x)")
-
-    _merge_report({
-        "sparse_frames": SPARSE_FRAMES,
-        "sparse_repeats": SPARSE_REPEATS,
-        "sparse_speedup_vs_dense": speedups,
-    })
-
-    # Sparse execution must pay where the paper says it should: sparse
-    # scenario streams.  (Strict win outside TINY; shared CI runners
-    # only have to not regress.)
-    floor = 1.0 if TINY else 1.02
-    assert speedups["far_sparse"] >= floor, (
-        f"sparse only {speedups['far_sparse']:.2f}x over dense on "
-        f"far_sparse (floor {floor}x)")

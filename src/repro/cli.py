@@ -693,6 +693,7 @@ def _cmd_query(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.executors import EXECUTION_MODES
     parser = argparse.ArgumentParser(
         prog="repro", description="UPAQ reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -794,12 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["none", "hck", "lck"],
                    help="preset compressed as the watchdog fallback")
     p.add_argument("--execution", default="reference",
-                   choices=["reference", "lowered", "lowered-sparse"],
+                   choices=EXECUTION_MODES,
                    help="run quantized layers on float64 fake-quant "
-                        "reference executors, int64 lowered kernels, or "
-                        "occupancy-windowed lowered kernels that skip "
-                        "verified all-zero columns (all bit-for-bit "
-                        "identical outputs)")
+                        "reference executors or int64 lowered kernels "
+                        "(bit-for-bit identical outputs)")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record per-frame per-layer cost attributions "
                         "and export them as a JSON trace (see "
@@ -852,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["none", "hck", "lck"],
                    help="compress the served model with this preset")
     p.add_argument("--execution", default="lowered",
-                   choices=["reference", "lowered", "lowered-sparse"])
+                   choices=EXECUTION_MODES)
     p.add_argument("--batch", type=int, default=4, metavar="N",
                    help="micro-batch window size filled across streams")
     p.add_argument("--deadline-ms", type=float, default=50.0)
@@ -935,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="tiny",
                    choices=["tiny", "pointpillars"])
     p.add_argument("--execution", default="reference",
-                   choices=["reference", "lowered", "lowered-sparse"])
+                   choices=EXECUTION_MODES)
     p.add_argument("--baseline", default="artifacts/fuzz_baseline.json",
                    help="committed baseline to gate against")
     p.add_argument("--out", default=None,

@@ -133,7 +133,7 @@ def _build_engine(model, ir, condition, device, execution, seed_value,
                            policy=policy, fault_injector=injector,
                            fallback_model=fallback, ladder=ladder,
                            cost_hook=cost_hook,
-                           execution=condition.execution or execution,
+                           execution=execution,
                            batch_size=condition.batch_size, ir=ir)
 
 

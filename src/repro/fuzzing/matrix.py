@@ -105,9 +105,6 @@ class RuntimeCondition:
     #: ``pressure_factor`` through the engine's cost hook
     pressure_factor: float = 0.0
     pressure_frames: int = 0
-    #: engine execution mode override; ``None`` inherits the sweep's
-    #: ``FuzzConfig.execution``
-    execution: str | None = None
 
     @property
     def injects_faults(self) -> bool:
@@ -143,11 +140,6 @@ CONDITIONS: dict[str, RuntimeCondition] = {
         ladder_presets=("lck-8bit", "hck-8bit", "hck-4bit"),
         promote_after=1,
         pressure_factor=1e6, pressure_frames=1),
-    "sparse": RuntimeCondition(
-        name="sparse",
-        description="clean stream through occupancy-gated sparse lowered "
-                    "execution (bit-identical to lowered by construction)",
-        execution="lowered-sparse"),
 }
 
 

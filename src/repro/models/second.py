@@ -5,7 +5,7 @@ middle encoder before a 2D BEV backbone.  Dense numpy has no sparse-conv
 kernels, so the middle encoder is *dense-simulated sparse*: the voxel
 grid's z-axis is folded into channels (the standard height-compression
 trick) and a conv stack processes only a grid whose activity mirrors the
-sparse occupancy.  Parameter count sits slightly above PointPillars,
+sparse set of filled voxels.  Parameter count sits slightly above PointPillars,
 matching Table 1's ordering.
 """
 

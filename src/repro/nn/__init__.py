@@ -10,8 +10,6 @@ preprocessing stage.
 
 from . import functional, init, losses, optim
 from .graph import compute_graph, layer_map, topological_layers
-from .occupancy import (OccupancyContext, activate_occupancy,
-                        current_occupancy)
 from .layers import (Add, AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
                      ConvBNReLU, ConvTranspose2d, Identity, LeakyReLU,
                      Linear, MaxPool2d, ReLU, Sigmoid, UpsampleNearest2d)
@@ -25,7 +23,6 @@ __all__ = [
     "ReLU", "LeakyReLU", "Sigmoid", "MaxPool2d", "AvgPool2d",
     "UpsampleNearest2d", "Identity", "Add", "ConvBNReLU",
     "functional", "init", "losses", "optim",
-    "OccupancyContext", "activate_occupancy", "current_occupancy",
     "compute_graph", "layer_map", "topological_layers",
     "save_model", "load_model", "save_state", "load_state",
 ]

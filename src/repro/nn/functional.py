@@ -32,14 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .occupancy import current_occupancy
 from .tensor import Tensor
 
 __all__ = [
     "im2col", "col2im", "col2im_indexed", "conv2d", "conv_transpose2d",
     "max_pool2d", "avg_pool2d", "upsample_nearest2d", "scatter_to_grid",
     "linear", "Im2colPlan", "Col2imPlan", "im2col_plan", "col2im_plan",
-    "im2col_window_plan", "col2im_window_plan",
     "geometry_cache_stats", "clear_geometry_cache",
 ]
 
@@ -90,34 +88,6 @@ class Im2colPlan:
         flat = self.pad(x).reshape(n, -1)
         return flat.take(self.indices.ravel(), axis=1) \
             .reshape(n, self.rows, self.positions)
-
-    def restrict_to_window(self, bbox: tuple) -> "Im2colPlan":
-        """A view of the plan over a window of *output positions*.
-
-        ``bbox = (oi0, oi1, oj0, oj1)`` is half-open in output-position
-        coordinates.  The returned plan gathers only the columns for
-        those positions (``out_h``/``out_w`` become the window dims);
-        ``apply`` still consumes the full padded input.  Restricting to
-        a window is exact by construction — it merely drops columns the
-        caller reconstructs as zeros.
-        """
-        oi0, oi1, oj0, oj1 = bbox
-        if not (0 <= oi0 < oi1 <= self.out_h
-                and 0 <= oj0 < oj1 <= self.out_w):
-            raise ValueError(
-                f"window {bbox} outside output grid "
-                f"{self.out_h}x{self.out_w} (or empty)")
-        if (oi0, oi1, oj0, oj1) == (0, self.out_h, 0, self.out_w):
-            return self
-        indices = np.ascontiguousarray(
-            self.indices.reshape(self.rows, self.out_h, self.out_w)
-            [:, oi0:oi1, oj0:oj1].reshape(self.rows, -1))
-        indices.setflags(write=False)
-        return Im2colPlan(c=self.c, h=self.h, w=self.w, kernel=self.kernel,
-                          stride=self.stride, padding=self.padding,
-                          out_h=oi1 - oi0, out_w=oj1 - oj0,
-                          indices=indices)
-
 
 @dataclass(frozen=True, eq=False)
 class Col2imPlan:
@@ -196,36 +166,6 @@ class Col2imPlan:
                           out_h=self.out_h, out_w=self.out_w, rows=kept,
                           contributors=rowmap[self.contributors])
 
-    def restrict_to_window(self, bbox: tuple) -> "Col2imPlan":
-        """A view of the plan over a window of *image* cells.
-
-        ``bbox = (r0, r1, c0, c1)`` is half-open in unpadded image
-        coordinates; ``apply`` on the returned plan consumes the same
-        full column layout but produces ``(N, C, r1-r0, c1-c0)`` — only
-        the window's cells are gathered and summed.  Composes with
-        :meth:`restrict` in either order (the column layout — ``rows``
-        × ``positions`` — is untouched).
-        """
-        r0, r1, c0, c1 = bbox
-        if not (0 <= r0 < r1 <= self.h and 0 <= c0 < c1 <= self.w):
-            raise ValueError(f"window {bbox} outside image "
-                             f"{self.h}x{self.w} (or empty)")
-        if (r0, r1, c0, c1) == (0, self.h, 0, self.w):
-            return self
-        pad = self.padding
-        wp = self.w + 2 * pad
-        hp = self.h + 2 * pad
-        cells = (np.arange(self.c)[:, None, None] * (hp * wp)
-                 + (np.arange(r0, r1) + pad)[None, :, None] * wp
-                 + (np.arange(c0, c1) + pad)[None, None, :]).ravel()
-        contributors = np.ascontiguousarray(self.contributors[cells])
-        contributors.setflags(write=False)
-        return Col2imPlan(c=self.c, h=r1 - r0, w=c1 - c0,
-                          kernel=self.kernel, stride=self.stride,
-                          padding=0, out_h=self.out_h, out_w=self.out_w,
-                          rows=self.rows, contributors=contributors)
-
-
 # ----------------------------------------------------------------------
 # Shape-keyed LRU cache of geometry plans
 # ----------------------------------------------------------------------
@@ -262,7 +202,7 @@ def _cached_plan(key: tuple, build):
 
 
 def geometry_cache_stats() -> dict:
-    """Hit/miss counters and occupancy of the shared geometry cache."""
+    """Hit/miss counters and fill level of the shared geometry cache."""
     with _GEOMETRY_LOCK:
         return {"size": len(_GEOMETRY_CACHE),
                 "capacity": _GEOMETRY_CAPACITY,
@@ -331,35 +271,6 @@ def col2im_plan(c: int, h: int, w: int, kernel: int, stride: int,
     key = ("col2im", c, h, w, kernel, stride, padding)
     return _cached_plan(
         key, lambda: _build_col2im_plan(c, h, w, kernel, stride, padding))
-
-
-def im2col_window_plan(c: int, h: int, w: int, kernel: int, stride: int,
-                       padding: int, window: tuple) -> Im2colPlan:
-    """A cached :meth:`Im2colPlan.restrict_to_window` view.
-
-    ``window`` is the half-open output-position bbox.  Windowed views
-    share the geometry LRU with the dense plans (per-frame occupancy
-    bboxes recur across a stream, so the memoization pays off the same
-    way shape keys do).
-    """
-    key = ("im2col-win", c, h, w, kernel, stride, padding, tuple(window))
-    return _cached_plan(
-        key, lambda: im2col_plan(c, h, w, kernel, stride, padding)
-        .restrict_to_window(window))
-
-
-def col2im_window_plan(c: int, h: int, w: int, kernel: int, stride: int,
-                       padding: int, window: tuple) -> Col2imPlan:
-    """A cached :meth:`Col2imPlan.restrict_to_window` view.
-
-    ``window`` is the half-open image-cell bbox.  Executor-specific row
-    restrictions (:meth:`Col2imPlan.restrict`) compose on top, so the
-    shared cache stays executor-independent.
-    """
-    key = ("col2im-win", c, h, w, kernel, stride, padding, tuple(window))
-    return _cached_plan(
-        key, lambda: col2im_plan(c, h, w, kernel, stride, padding)
-        .restrict_to_window(window))
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
@@ -551,10 +462,6 @@ def scatter_to_grid(features: Tensor, indices: np.ndarray,
         (H, W) of the canvas.
 
     Returns a (1, C, H, W) tensor.  This is PointPillars' PillarScatter.
-
-    When an :class:`~repro.nn.occupancy.OccupancyContext` is active
-    (sparse lowered execution), the scatter reports its occupied cells
-    into it — the observation end of the per-frame occupancy seam.
     """
     p, c = features.shape
     h, w = grid_shape
@@ -562,9 +469,6 @@ def scatter_to_grid(features: Tensor, indices: np.ndarray,
     canvas = np.zeros((c, h * w), dtype=np.float32)
     canvas[:, flat] = features.data.T
     out = canvas.reshape(1, c, h, w)
-    context = current_occupancy()
-    if context is not None:
-        context.observe(indices, grid_shape)
 
     def backward(grad):
         grad_flat = grad.reshape(c, h * w)

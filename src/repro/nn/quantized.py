@@ -49,31 +49,6 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
   produces), both paths share a float64 BLAS gemm whose result is the
   exact integer accumulation; otherwise each path falls back to an
   int64/float64 einsum.
-
-Occupancy-gated dynamic sparsity (``execution="lowered-sparse"``; see
-``docs/PERFORMANCE.md``): under an active
-:class:`~repro.nn.occupancy.OccupancyContext` the executors
-additionally skip work that the *activations* make dead, on top of the
-static weight-pattern skips:
-
-* The context only **gates** the machinery; every decision derives
-  from one-pass scans of the layer's actual inputs, so sparse
-  execution is unconditionally bit-identical to dense — a wrong or
-  stale context can only cost speed, never bits.
-* The conv path restricts itself to the nonzero-support window
-  (receptive-field-dilated, via the memoized window plans) and then
-  **subsets the cached gather indices to the union-active columns
-  before the gather** — the gather, not the gemm, dominates a lowered
-  conv, so eliminated columns are never materialized at all; their
-  accumulators are reconstructed as exact zeros.
-* With no telemetry attached, quantization is **deferred onto the
-  gathered columns** (quantize∘gather ≡ gather∘quantize elementwise;
-  occupancy is scanned on the float input, whose support is a
-  conservative superset of the code support).  Attached telemetry
-  forces eager quantization so the saturation counters see every
-  value.
-* A work floor (:data:`_MIN_DYNAMIC_WORK`) keeps layers whose gather
-  is too small to amortize the scans on the plain dense path.
 """
 
 from __future__ import annotations
@@ -82,11 +57,9 @@ import threading
 
 import numpy as np
 
-from .functional import (col2im_plan, col2im_window_plan, im2col_plan,
-                         im2col_window_plan)
+from .functional import col2im_plan, im2col_plan
 from .layers import Conv2d, ConvTranspose2d, Linear
 from .module import Module
-from .occupancy import current_occupancy
 from .tensor import Tensor
 
 __all__ = ["QuantizedConv2d", "QuantizedConvTranspose2d", "QuantizedLinear",
@@ -97,7 +70,7 @@ __all__ = ["QuantizedConv2d", "QuantizedConvTranspose2d", "QuantizedLinear",
 #: imported to keep :mod:`repro.nn` free of runtime dependencies).
 _EXACT_ACC_LIMIT = 2 ** 53
 
-#: Per-executor cap on memoized input-shape (and windowed) plans.
+#: Per-executor cap on memoized input-shape plans.
 _MAX_SHAPE_PLANS = 16
 
 
@@ -127,109 +100,6 @@ def _memoized_plan(plans: dict, lock: threading.Lock, key, build):
             entry = built
     return entry
 
-#: Sentinel window: the layer input is verified all-zero, so the whole
-#: accumulator is reconstructed as zeros without touching a matmul.
-_EMPTY_WINDOW = "empty"
-
-
-#: A window below this much of the full area is not worth restricting
-#: the plan for (per-column elimination still applies on the dense
-#: gather, so a near-full window loses almost nothing by running dense).
-_WINDOW_FULL_FRACTION = 15 / 16
-
-#: Column elimination runs only when at least this fraction of gathered
-#: columns is all-zero — below it the subset/embed copies cost more
-#: than the gather and matmul work they save.
-_MIN_COLUMN_SKIP = 1 / 8
-
-#: Dynamic sparsity machinery (occupancy scans, dilation, windows,
-#: column subsetting) only engages when the layer's gather is at least
-#: this many elements (``kept rows × positions``).  Below the floor the
-#: dense kernel finishes in microseconds and the scans alone would cost
-#: more than they can save, so sparse mode runs the layer dense — which
-#: is trivially bit-identical.  Telemetry overrides the floor: when a
-#: counter is attached the scans run anyway so the dynamic-skip and
-#: occupancy counters stay meaningful on every layer.
-_MIN_DYNAMIC_WORK = 1 << 15
-
-
-def _support_window(occupied: np.ndarray) -> tuple[int, int, int, int] | None:
-    """Tight nonzero-support bbox of an ``(h, w)`` occupancy map.
-
-    The map comes from one pass over the actual codes, so the bbox is
-    exact *by construction* — everything outside it really is zero,
-    and windowed execution never depends on the occupancy context
-    being right (a stale or adversarial context only gates the scan,
-    it cannot shrink the window below the true support).  A canvas
-    bbox could not be trusted this way: each 3×3 conv grows the actual
-    support by a one-pixel halo, so a few layers into the backbone the
-    scaled canvas bbox no longer bounds it.  Returns ``None`` when the
-    map is entirely empty.
-    """
-    rows = np.flatnonzero(occupied.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(occupied.any(axis=0))
-    return (int(rows[0]), int(rows[-1]) + 1,
-            int(cols[0]), int(cols[-1]) + 1)
-
-
-def _dilate_columns(occ: np.ndarray, kernel: int, stride: int,
-                    padding: int, out_h: int, out_w: int) -> np.ndarray:
-    """Which output positions read at least one occupied input cell.
-
-    ``occ`` is the per-frame ``(n, h, w)`` collapsed occupancy of the
-    input codes; the k×k boolean dilation below is the *exact*
-    column-nonzero condition of the im2col gather — an output position
-    is all-zero iff no cell of its receptive field holds any nonzero
-    channel.  k² strided OR-accumulations over an ``(n, out_h, out_w)``
-    bool array cost far less than scanning the gathered columns
-    themselves (k²·c values per position).
-    """
-    n, h, w = occ.shape
-    if kernel == 1 and stride == 1 and padding == 0:
-        # 1×1 geometry: the columns *are* the cells.
-        return occ
-    if padding:
-        padded = np.zeros((n, h + 2 * padding, w + 2 * padding),
-                          dtype=bool)
-        padded[:, padding:padding + h, padding:padding + w] = occ
-    else:
-        padded = occ
-    active = np.zeros((n, out_h, out_w), dtype=bool)
-    span_h = (out_h - 1) * stride + 1
-    span_w = (out_w - 1) * stride + 1
-    for ki in range(kernel):
-        for kj in range(kernel):
-            active |= padded[:, ki:ki + span_h:stride,
-                             kj:kj + span_w:stride]
-    return active
-
-
-def _bucket_window(window: tuple[int, int, int, int], h: int, w: int,
-                   buckets: int = 8) -> tuple[int, int, int, int]:
-    """Round a support window outward onto a coarse grid.
-
-    Per-frame support boxes differ by a pixel or two between frames;
-    without bucketing every frame would miss the memoized window-plan
-    caches and pay a plan rebuild.  Rounding outward keeps exactness
-    (the expanded window still contains the full support) while
-    collapsing nearby windows onto at most ``buckets``² cache keys.
-    """
-    r0, r1, c0, c1 = window
-    bh = max(1, h // buckets)
-    bw = max(1, w // buckets)
-    return (r0 // bh * bh, min(h, -(-r1 // bh) * bh),
-            c0 // bw * bw, min(w, -(-c1 // bw) * bw))
-
-
-def _record_occupancy(telemetry, context, frames: int) -> None:
-    """Fold the observed canvas occupancy into a layer's counters."""
-    cells = context.canvas_cells
-    if telemetry is not None and cells:
-        telemetry.record_occupancy(frames * cells,
-                                   frames * context.occupied_cells)
-
 
 def _batched_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``(o, k) @ (n, k, p) -> (n, o, p)`` as one broadcast BLAS gemm.
@@ -243,50 +113,6 @@ def _batched_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if cols.shape[0] == 1:
         return np.matmul(w, cols[0])[None]
     return np.matmul(w, cols)
-
-
-def _matmul_skip_zero_columns(w: np.ndarray, cols: np.ndarray,
-                              int_work: bool, use_gemm: bool,
-                              active: np.ndarray | None
-                              ) -> tuple[np.ndarray, int]:
-    """``(o, k) @ (n, k, p)`` eliminating verified all-zero columns.
-
-    ``active`` is the precomputed ``(n, p)`` column-activity mask
-    (``None`` runs dense) — derived from the actual input codes, so an
-    inactive column is *verified* all-zero.  Returns ``(acc,
-    executed)`` where ``executed`` counts the columns that hit the
-    matmul.  When enough columns are inactive the matmul runs on the
-    active subset and the rest is reconstructed as exact zeros —
-    bit-for-bit what the dense product yields for them, since zero
-    codes accumulate to exact zeros in int64 and certified float64
-    alike (the ``-0.0`` a float product can leave is canonicalized by
-    ``_finish``).  Each surviving column's dot product reduces over
-    the untouched ``k`` axis in the same order as the dense call, so
-    the active subset is byte-identical too.
-    """
-    n, k, p = cols.shape
-    total = n * p
-
-    def dense() -> np.ndarray:
-        if use_gemm:
-            return _batched_gemm(w, cols)
-        return np.einsum("ok,nkp->nop", w, cols)
-
-    if active is None or total == 0:
-        return dense(), total
-    executed = int(active.sum())
-    if total - executed < max(1, int(total * _MIN_COLUMN_SKIP)):
-        return dense(), total
-    acc = np.zeros((n, w.shape[0], p),
-                   dtype=np.int64 if int_work else np.float64)
-    if executed:
-        sel = cols.swapaxes(0, 1)[:, active]
-        if use_gemm:
-            res = np.matmul(w, sel)
-        else:
-            res = np.einsum("ok,ka->oa", w, sel)
-        acc.swapaxes(0, 1)[:, active] = res
-    return acc, executed
 
 
 def activation_scale(x: np.ndarray, bits: int = 8) -> float:
@@ -393,59 +219,6 @@ class QuantizedConv2d(Module):
         return _memoized_plan(self._plans, self._plans_lock,
                               (c, h, w), build)
 
-    def _window_plan(self, c: int, h: int, w: int, window: tuple):
-        """Kept-column gather indices restricted to an output window."""
-
-        def build():
-            kernel = self.weight_codes.shape[-1]
-            plan = im2col_window_plan(c, h, w, kernel, self.stride,
-                                      self.padding, window)
-            idx = plan.indices if self._keep_cols.all() \
-                else plan.indices[self._keep_cols]
-            return (idx.ravel(), plan)
-
-        return _memoized_plan(self._plans, self._plans_lock,
-                              (c, h, w, window), build)
-
-    def _dynamic_window(self, occ: np.ndarray, h: int, w: int,
-                        geometry):
-        """The occupancy-derived output window, if one applies.
-
-        ``occ`` is the collapsed ``(n, h, w)`` occupancy of the input
-        codes.  Returns ``None`` (run dense), :data:`_EMPTY_WINDOW`
-        (the input is verified all-zero — reconstruct a zero
-        accumulator), or a half-open ``(oi0, oi1, oj0, oj1)``
-        output-position window whose complement provably accumulates
-        to zero.  The window is the codes' own nonzero-support bbox
-        (:func:`_support_window`), so exactness never depends on the
-        occupancy context being right: the context only gates the
-        scan, and a stale or wrong context can only cost speed, never
-        bits.  Near-full windows run dense — per-column elimination on
-        the dense gather covers them.
-        """
-        support = _support_window(occ.any(axis=0))
-        if support is None:
-            return _EMPTY_WINDOW
-        r0, r1, c0, c1 = _bucket_window(support, h, w)
-        if (r1 - r0) * (c1 - c0) >= _WINDOW_FULL_FRACTION * h * w:
-            return None
-        kernel = self.weight_codes.shape[-1]
-        stride, pad = self.stride, self.padding
-        # Output position oi reads input rows [oi·s − p, oi·s − p + k);
-        # keep exactly those intersecting the occupied rows [r0, r1).
-        oi0 = max(0, -(-(r0 + pad - kernel + 1) // stride))
-        oi1 = min(geometry.out_h, (r1 - 1 + pad) // stride + 1)
-        oj0 = max(0, -(-(c0 + pad - kernel + 1) // stride))
-        oj1 = min(geometry.out_w, (c1 - 1 + pad) // stride + 1)
-        if oi0 >= oi1 or oj0 >= oj1:
-            # No output position reads an occupied cell: every column
-            # is all-zero.
-            return _EMPTY_WINDOW
-        if (oi1 - oi0) * (oj1 - oj0) \
-                >= _WINDOW_FULL_FRACTION * geometry.positions:
-            return None
-        return (oi0, oi1, oj0, oj1)
-
     @staticmethod
     def from_float(conv: Conv2d, input_scale: float,
                    weight_bits: int = 8,
@@ -471,137 +244,30 @@ class QuantizedConv2d(Module):
         whole micro-batch (leading ``n``) runs as one matmul, which is
         byte-identical to ``n`` single-frame calls because exact sums
         are blocking-independent.
-
-        Under an active :class:`~repro.nn.occupancy.OccupancyContext`
-        (sparse lowered execution) the gather additionally restricts to
-        the verified occupied output window and then to the columns
-        that read at least one occupied cell — the subsetting happens
-        on the *plan indices*, before the gather, so skipped columns
-        are never materialized at all; their accumulators are
-        reconstructed as exact zeros.  Both restrictions derive from
-        scans of the actual codes, so the sparse path is
-        unconditionally bit-for-bit: every surviving position's dot
-        product reduces over identical kept rows in identical order.
         """
         n, c, h, w = data.shape
         out_c = self.weight_codes.shape[0]
         telemetry = self.telemetry
         idx, geometry = self._shape_plan(c, h, w)
-        use_gemm = self._use_gemm
-        int_work = not use_gemm and np.dtype(dtype) == np.int64
-        acc_dtype = np.int64 if int_work else np.float64
-        context = current_occupancy()
-        dynamic = context is not None and (
-            telemetry is not None
-            or self._kept * geometry.positions >= _MIN_DYNAMIC_WORK)
-        # With no counters attached, quantization is deferred onto the
-        # gathered columns (quantization is elementwise and zero maps
-        # to code zero, so quantize∘gather ≡ gather∘quantize); the
-        # occupancy scan then runs on the float input, whose nonzero
-        # support is a superset of the code support — conservative,
-        # hence still exact.  Attached telemetry forces eager
-        # quantization so the saturation counters see every value.
-        defer_quant = dynamic and telemetry is None
-        if defer_quant:
-            x_codes = None
-            occ = data.astype(bool).any(axis=1)
+        x_codes = quantize_activation(data, self.input_scale,
+                                      self.activation_bits,
+                                      telemetry=telemetry)
+        int_work = not self._use_gemm and np.dtype(dtype) == np.int64
+        work = x_codes if int_work else x_codes.astype(np.float64)
+        cols = geometry.pad(work).reshape(n, -1).take(idx, axis=1) \
+            .reshape(n, self._kept, geometry.positions)
+        w_mat = self._w_kept if int_work else self._w_kept_f64
+        if self._use_gemm:
+            acc = _batched_gemm(w_mat, cols)
         else:
-            x_codes = quantize_activation(data, self.input_scale,
-                                          self.activation_bits,
-                                          telemetry=telemetry)
-            occ = x_codes.any(axis=1) if dynamic else None
-        window = None if occ is None \
-            else self._dynamic_window(occ, h, w, geometry)
-        if window is _EMPTY_WINDOW:
-            acc = np.zeros((n, out_c, geometry.positions), dtype=acc_dtype)
-            executed = 0
-        else:
-            if window is not None:
-                idx, plan = self._window_plan(c, h, w, window)
-            else:
-                plan = geometry
-            act_idx = None
-            if occ is not None:
-                kernel = self.weight_codes.shape[-1]
-                active = _dilate_columns(occ, kernel, self.stride,
-                                         self.padding, geometry.out_h,
-                                         geometry.out_w)
-                if window is not None:
-                    oi0, oi1, oj0, oj1 = window
-                    active = active[:, oi0:oi1, oj0:oj1]
-                # Column subsetting shares one gather across the
-                # micro-batch, so the eliminated set is the columns
-                # inactive in *every* frame (the union of the
-                # per-frame activity masks survives).
-                union = active.reshape(n, plan.positions).any(axis=0)
-                inactive = plan.positions - int(union.sum())
-                if inactive >= max(1, int(plan.positions
-                                          * _MIN_COLUMN_SKIP)):
-                    act_idx = np.flatnonzero(union)
-            w_mat = self._w_kept if int_work else self._w_kept_f64
-            if act_idx is not None:
-                # Restrict the gather itself: subset the cached index
-                # matrix to the active columns, gather only those, and
-                # embed the products back at their positions.  The
-                # gather is the dominant cost of a lowered conv, so
-                # this is where eliminated columns actually pay off.
-                sub = idx.reshape(self._kept, plan.positions) \
-                    .take(act_idx, axis=1)
-                if x_codes is None \
-                        and act_idx.size * self._kept >= data.size:
-                    # Deferring only pays while the gathered subset is
-                    # smaller than the input (k>1 gathers duplicate
-                    # cells k² times); otherwise quantize eagerly.
-                    x_codes = quantize_activation(
-                        data, self.input_scale, self.activation_bits)
-                source = data if x_codes is None else x_codes
-                cols = plan.pad(source).reshape(n, -1) \
-                    .take(sub.ravel(), axis=1) \
-                    .reshape(n, self._kept, act_idx.size)
-                if x_codes is None:
-                    cols = quantize_activation(cols, self.input_scale,
-                                               self.activation_bits)
-                if not int_work:
-                    cols = cols.astype(np.float64)
-                if use_gemm:
-                    res = _batched_gemm(w_mat, cols)
-                else:
-                    res = np.einsum("ok,nkp->nop", w_mat, cols)
-                acc = np.zeros((n, out_c, plan.positions),
-                               dtype=res.dtype)
-                acc[:, :, act_idx] = res
-                executed = n * int(act_idx.size)
-            else:
-                if x_codes is None:
-                    x_codes = quantize_activation(
-                        data, self.input_scale, self.activation_bits)
-                work = x_codes if int_work else x_codes.astype(np.float64)
-                cols = plan.pad(work).reshape(n, -1).take(idx, axis=1) \
-                    .reshape(n, self._kept, plan.positions)
-                if use_gemm:
-                    acc = _batched_gemm(w_mat, cols)
-                else:
-                    acc = np.einsum("ok,nkp->nop", w_mat, cols)
-                executed = n * plan.positions
-            if window is not None:
-                oi0, oi1, oj0, oj1 = window
-                full = np.zeros((n, out_c, geometry.out_h, geometry.out_w),
-                                dtype=acc.dtype)
-                full[:, :, oi0:oi1, oj0:oj1] = acc.reshape(
-                    n, out_c, oi1 - oi0, oj1 - oj0)
-                acc = full.reshape(n, out_c, geometry.positions)
+            acc = np.einsum("ok,nkp->nop", w_mat, cols)
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
-                macs=out_c * self._kept * executed,
+                macs=out_c * self._kept * n * geometry.positions,
                 columns_total=n * keep.size,
                 columns_skipped=n * (keep.size - self._kept),
                 frames=n)
-            if context is not None:
-                telemetry.record_dynamic(
-                    n * geometry.positions,
-                    n * geometry.positions - executed)
-                _record_occupancy(telemetry, context, n)
             if acc.size:
                 telemetry.record_accumulator(acc.min(), acc.max())
         return acc
@@ -618,11 +284,10 @@ class QuantizedConv2d(Module):
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         else:
-            # Canonicalize zero signs: a dense matmul over an all-zero
-            # column can yield -0.0 where the occupancy-windowed path
-            # reconstructs +0.0.  Adding 0.0 maps -0.0 to +0.0 and is
-            # the identity elsewhere, so every execution mode emits the
-            # same bytes.
+            # Canonicalize zero signs: the float einsum fallback can
+            # leave -0.0 where the int64 accumulation gives +0.0.
+            # Adding 0.0 maps -0.0 to +0.0 and is the identity
+            # elsewhere, so both execution modes emit the same bytes.
             out = out + 0.0
         return Tensor(out.astype(np.float32))
 
@@ -722,43 +387,6 @@ class QuantizedConvTranspose2d(Module):
         return _memoized_plan(self._plans, self._plans_lock,
                               (h, w), build)
 
-    def _out_shape(self, h: int, w: int) -> tuple[int, int]:
-        kernel = self.weight_codes.shape[-1]
-        return ((h - 1) * self.stride - 2 * self.padding + kernel,
-                (w - 1) * self.stride - 2 * self.padding + kernel)
-
-    def _window_scatter_plan(self, h: int, w: int, out_window: tuple):
-        """Kept-column scatter plan over an output-cell window."""
-
-        def build():
-            _, out_c, kernel, _ = self.weight_codes.shape
-            out_h, out_w = self._out_shape(h, w)
-            return col2im_window_plan(out_c, out_h, out_w, kernel,
-                                      self.stride, self.padding,
-                                      out_window).restrict(self._keep_cols)
-
-        return _memoized_plan(self._plans, self._plans_lock,
-                              (h, w, out_window), build)
-
-    def _dynamic_window(self, occ: np.ndarray, h: int, w: int):
-        """The occupancy-derived *input* window, if one applies.
-
-        ``occ`` is the collapsed ``(n, h, w)`` occupancy of the input
-        codes.  Returns ``None`` (dense), :data:`_EMPTY_WINDOW` (input
-        verified all-zero), or a half-open input window whose
-        complement is verified zero — its scatter image is then the
-        only output region that can be nonzero.  The window is the
-        codes' own support bbox, bucketed like the conv counterpart;
-        near-full windows run dense (column elimination covers them).
-        """
-        support = _support_window(occ.any(axis=0))
-        if support is None:
-            return _EMPTY_WINDOW
-        r0, r1, c0, c1 = _bucket_window(support, h, w)
-        if (r1 - r0) * (c1 - c0) >= _WINDOW_FULL_FRACTION * h * w:
-            return None
-        return (r0, r1, c0, c1)
-
     @staticmethod
     def from_float(deconv: ConvTranspose2d, input_scale: float,
                    weight_bits: int = 8,
@@ -778,80 +406,27 @@ class QuantizedConvTranspose2d(Module):
     def _accumulate(self, data: np.ndarray, dtype) -> np.ndarray:
         n, c, h, w = data.shape
         in_c = self.weight_codes.shape[0]
-        kernel = self.weight_codes.shape[-1]
         telemetry = self.telemetry
         x_codes = quantize_activation(data, self.input_scale,
                                       self.activation_bits,
                                       telemetry=telemetry)
-        use_gemm = self._use_gemm
-        int_work = not use_gemm and np.dtype(dtype) == np.int64
-        acc_dtype = np.int64 if int_work else np.float64
-        context = current_occupancy()
-        dynamic = context is not None and (
-            telemetry is not None
-            or self._kept * h * w >= _MIN_DYNAMIC_WORK)
-        occ = x_codes.any(axis=1) if dynamic else None
-        window = None if occ is None else self._dynamic_window(occ, h, w)
-        out_h, out_w = self._out_shape(h, w)
-        if window is _EMPTY_WINDOW:
-            out_c = self.weight_codes.shape[1]
-            acc = np.zeros((n, out_c, out_h, out_w), dtype=acc_dtype)
-            executed = 0
-        elif window is not None:
-            # Matmul only the occupied input positions (their complement
-            # is verified zero, so its columns are exact zeros), then
-            # scatter into only the output cells the window can reach.
-            r0, r1, c0, c1 = window
-            x_win = x_codes[:, :, r0:r1, c0:c1] \
-                .reshape(n, in_c, (r1 - r0) * (c1 - c0))
-            if not int_work:
-                x_win = x_win.astype(np.float64)
-            active = occ[:, r0:r1, c0:c1].reshape(n, -1)
-            w_mat = self._w_keptT if int_work else self._w_keptT_f64
-            cols_win, executed = _matmul_skip_zero_columns(
-                w_mat, x_win, int_work, use_gemm, active)
-            cols = np.zeros((n, self._kept, h * w), dtype=cols_win.dtype)
-            cols.reshape(n, self._kept, h, w)[:, :, r0:r1, c0:c1] = \
-                cols_win.reshape(n, self._kept, r1 - r0, c1 - c0)
-            # Input position (i, j) scatters into output rows
-            # [i·s − p, i·s − p + k); the window's image bounds its
-            # nonzero output support.
-            ob = (max(0, r0 * self.stride - self.padding),
-                  min(out_h, (r1 - 1) * self.stride - self.padding
-                      + kernel),
-                  max(0, c0 * self.stride - self.padding),
-                  min(out_w, (c1 - 1) * self.stride - self.padding
-                      + kernel))
-            out_c = self.weight_codes.shape[1]
-            if ob[0] >= ob[1] or ob[2] >= ob[3]:
-                acc = np.zeros((n, out_c, out_h, out_w), dtype=acc_dtype)
-            elif ob == (0, out_h, 0, out_w):
-                acc = self._shape_plan(h, w).apply(cols)
-            else:
-                acc_win = self._window_scatter_plan(h, w, ob).apply(cols)
-                acc = np.zeros((n, out_c, out_h, out_w),
-                               dtype=acc_win.dtype)
-                acc[:, :, ob[0]:ob[1], ob[2]:ob[3]] = acc_win
+        int_work = not self._use_gemm and np.dtype(dtype) == np.int64
+        x_mat = x_codes.reshape(n, in_c, h * w)
+        if not int_work:
+            x_mat = x_mat.astype(np.float64)
+        w_mat = self._w_keptT if int_work else self._w_keptT_f64
+        if self._use_gemm:
+            cols = _batched_gemm(w_mat, x_mat)
         else:
-            x_mat = x_codes.reshape(n, in_c, h * w)
-            if not int_work:
-                x_mat = x_mat.astype(np.float64)
-            active = None if occ is None else occ.reshape(n, h * w)
-            w_mat = self._w_keptT if int_work else self._w_keptT_f64
-            cols, executed = _matmul_skip_zero_columns(
-                w_mat, x_mat, int_work, use_gemm, active)
-            acc = self._shape_plan(h, w).apply(cols)
+            cols = np.einsum("ok,nkp->nop", w_mat, x_mat)
+        acc = self._shape_plan(h, w).apply(cols)
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
-                macs=in_c * self._kept * executed,
+                macs=in_c * self._kept * n * h * w,
                 columns_total=n * keep.size,
                 columns_skipped=n * (keep.size - self._kept),
                 frames=n)
-            if context is not None:
-                telemetry.record_dynamic(n * h * w,
-                                         n * h * w - executed)
-                _record_occupancy(telemetry, context, n)
             if acc.size:
                 # Range of the *scatter-added* accumulator — the value
                 # the 2^53 exactness bound must cover.
@@ -953,46 +528,17 @@ class QuantizedLinear(Module):
         if self._kept != in_features:
             x_mat = x_mat.take(self._keep_idx, axis=1)
         use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
-        # Under an active occupancy context (sparse lowered execution)
-        # skip all-zero input rows at runtime: a zero row's accumulator
-        # is exactly zero in either dtype, so reconstructing it costs
-        # no bits.  No window geometry is needed — the rows themselves
-        # are the evidence.
-        context = current_occupancy()
-        dynamic = context is not None and (
-            telemetry is not None or x_mat.size >= _MIN_DYNAMIC_WORK)
-        row_active = None
-        if dynamic and x_mat.size:
-            row_active = np.any(x_mat != 0, axis=1)
-            skipped = x_mat.shape[0] - int(row_active.sum())
-            if skipped < max(1, int(x_mat.shape[0] * _MIN_COLUMN_SKIP)):
-                row_active = None
-        if row_active is not None:
-            active = int(row_active.sum())
-            weights = self._w_kept_f64 if use_f64 else self._w_kept
-            x_act = x_mat[row_active]
-            if use_f64:
-                x_act = x_act.astype(np.float64)
-            acc = np.zeros((x_mat.shape[0], out_features),
-                           dtype=np.float64 if use_f64 else np.int64)
-            if active:
-                acc[row_active] = x_act @ weights.T
+        if use_f64:
+            acc = x_mat.astype(np.float64) @ self._w_kept_f64.T
         else:
-            active = x_mat.shape[0]
-            if use_f64:
-                acc = x_mat.astype(np.float64) @ self._w_kept_f64.T
-            else:
-                acc = x_mat @ self._w_kept.T
+            acc = x_mat @ self._w_kept.T
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
-                macs=active * self._kept * out_features,
+                macs=x_mat.shape[0] * self._kept * out_features,
                 columns_total=frames * keep.size,
                 columns_skipped=frames * (keep.size - self._kept),
                 frames=frames)
-            if context is not None:
-                telemetry.record_dynamic(x_mat.shape[0],
-                                         x_mat.shape[0] - active)
             if acc.size:
                 telemetry.record_accumulator(acc.min(), acc.max())
         return acc

@@ -491,18 +491,11 @@ class InferenceEngine:
     execution:
         ``"reference"`` (default) runs quantized layers through the
         float64 fake-quant reference executors; ``"lowered"`` runs the
-        same executors on int64 multiply-accumulates;
-        ``"lowered-sparse"`` is the lowered path with each prediction
-        wrapped in a per-frame
-        :class:`~repro.nn.occupancy.OccupancyContext` — the pillar
-        scatter reports the occupied-canvas bbox and the executors
-        skip verified all-zero input columns (a batched window uses
-        the union of its member frames' bboxes).  All modes are
+        same executors on int64 multiply-accumulates.  Both modes are
         bit-for-bit identical after the final rescale (see
-        :mod:`repro.nn.quantized`; sparse windows are verified against
-        the actual codes before use, so a stale window can only cost
-        speed, never bits).  Models with no quantized layers execute
-        their plain float forward in any mode.
+        :mod:`repro.nn.quantized`).  Any other value raises
+        ``ValueError``.  Models with no quantized layers execute their
+        plain float forward in either mode.
     ir:
         Optional pre-extracted (or blob-restored)
         :class:`~repro.ir.ModelIR` for ``model``; when omitted the

@@ -7,19 +7,14 @@ them into the model's kernel layers for the duration of a forward pass
 (the same ``object.__setattr__`` patching discipline the profiler
 uses — no model surgery, fully reversible, exception-safe).
 
-The program runs in one of three modes sharing the same executors:
+The program runs in one of two modes sharing the same executors:
 
 * ``"lowered"`` — int64 multiply-accumulate per layer;
-* ``"lowered-sparse"`` — the same integer path, but each prediction
-  runs inside an activated :class:`~repro.nn.occupancy.OccupancyContext`
-  so the scatter reports the frame's occupied-canvas bbox and the
-  executors skip verified all-zero input columns at runtime;
 * ``"reference"`` — float64 fake-quant reference semantics.
 
-All modes are bit-for-bit identical after the final rescale (see
-:mod:`repro.nn.quantized`; the sparse mode verifies every window
-against the actual codes before using it), which is what lets the
-engine's parity tests compare whole detection outputs with ``==``.
+Both modes are bit-for-bit identical after the final rescale (see
+:mod:`repro.nn.quantized`), which is what lets the engine's parity
+tests compare whole detection outputs with ``==``.
 
 The program also owns the per-layer telemetry collectors
 (:meth:`LoweredProgram.enable_telemetry`): one
@@ -31,18 +26,17 @@ from __future__ import annotations
 
 import threading
 import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from repro.nn.graph import layer_map
 from repro.nn.layers import Conv2d, ConvTranspose2d, Linear
 from repro.nn.module import Module
-from repro.nn.occupancy import activate_occupancy
 
 from .telemetry import LayerTelemetry, telemetry_digest
 
 __all__ = ["LoweredProgram", "EXECUTION_MODES"]
 
-EXECUTION_MODES = ("reference", "lowered", "lowered-sparse")
+EXECUTION_MODES = ("reference", "lowered")
 
 # One re-entrant lock per model object, shared by every program that
 # attaches to it: patching rewrites the *model's* ``forward`` slots, so
@@ -71,10 +65,8 @@ class LoweredProgram:
         ``layer name → executor`` as produced by
         :func:`repro.ir.lowering.lower_executors`.
     mode:
-        ``"lowered"`` runs the integer path, ``"lowered-sparse"`` the
-        integer path under a per-frame occupancy context (skipping
-        verified all-zero columns), ``"reference"`` the float64
-        fake-quant reference path of the same executors.
+        ``"lowered"`` runs the integer path, ``"reference"`` the
+        float64 fake-quant reference path of the same executors.
     telemetry:
         When true, attach a per-layer counter to every executor on
         construction (equivalent to calling :meth:`enable_telemetry`).
@@ -179,13 +171,6 @@ class LoweredProgram:
         through to the executor, so a call the executor cannot satisfy
         fails loudly instead of silently dropping arguments.
 
-        In ``"lowered-sparse"`` mode the whole attachment additionally
-        runs under a fresh :func:`~repro.nn.occupancy.activate_occupancy`
-        context: the scatter(s) executed inside the block observe the
-        occupied canvas, and the executors use the resulting bbox — for
-        a micro-batched window the bbox is the union across the member
-        frames, because every scatter observes into this one context.
-
         Attachment is exclusive per program *and* per model: the block
         holds the program's attach lock (which also guards its
         telemetry slots), then the model's lock, always in that order.
@@ -211,11 +196,8 @@ class LoweredProgram:
 
                 object.__setattr__(module, "forward", routed)
                 patched.append((module, original))
-            occupancy = (activate_occupancy()
-                         if self.mode == "lowered-sparse" else nullcontext())
             try:
-                with occupancy:
-                    yield model
+                yield model
             finally:
                 for module, original in reversed(patched):
                     object.__setattr__(module, "forward", original)
@@ -244,12 +226,6 @@ class LoweredProgram:
         with the executors attached when batching is certified exact
         (:meth:`covers_kernels`); otherwise falls back to sequential
         single-frame predicts, which define the semantics either way.
-
-        In sparse mode the batched trunk naturally sees the union bbox
-        of the window (every per-scene scatter observes into the
-        attachment's context); the sequential fallback instead nests a
-        fresh context per frame, which keeps each frame's window tight
-        instead of unioning it with its predecessors'.
         """
         scenes = list(scenes)
         if not self.executors:
@@ -257,12 +233,6 @@ class LoweredProgram:
         with self.attached(model):
             if len(scenes) > 1 and self.covers_kernels(model):
                 return model.predict_batch(scenes)
-            if self.mode == "lowered-sparse":
-                results = []
-                for scene in scenes:
-                    with activate_occupancy():
-                        results.append(model.predict(scene))
-                return results
             return [model.predict(scene) for scene in scenes]
 
     def summary(self) -> str:

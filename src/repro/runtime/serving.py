@@ -72,9 +72,8 @@ Thread-safety contract with the layers below: the geometry/plan caches
 (:mod:`repro.nn.functional`, :mod:`repro.nn.quantized`) and telemetry
 counters (:mod:`repro.runtime.telemetry`) are lock-protected, program
 attachment is exclusive per replica
-(:meth:`~repro.runtime.executors.LoweredProgram.attached`), and
-occupancy contexts are thread-local
-(:mod:`repro.nn.occupancy`) — see ``docs/SERVING.md``.
+(:meth:`~repro.runtime.executors.LoweredProgram.attached`) — see
+``docs/SERVING.md``.
 """
 
 from __future__ import annotations

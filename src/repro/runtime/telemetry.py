@@ -74,18 +74,6 @@ class LayerTelemetry:
     #: all-zero *weight* columns skipped before the integer matmul —
     #: static pattern-pruning skips, known at compile time
     columns_skipped: int = 0
-    #: positions/rows eligible for runtime occupancy skipping (counted
-    #: only under sparse execution; 0 means the dynamic path never ran)
-    dynamic_columns_total: int = 0
-    #: positions/rows skipped at runtime because their *activations*
-    #: were verifiably zero — per-frame sparsity, distinct from the
-    #: static pattern skips above
-    dynamic_columns_skipped: int = 0
-    #: BEV canvas cells observed by the occupancy context, summed per
-    #: frame (0 until sparse execution observes a scatter)
-    canvas_cells_total: int = 0
-    #: of those, cells an occupied pillar was scattered into
-    canvas_cells_occupied: int = 0
     #: activation values quantized
     activations_total: int = 0
     #: activation values clipped to ±max_code (outside the calibrated range)
@@ -141,24 +129,6 @@ class LayerTelemetry:
             self.columns_total += int(columns_total)
             self.columns_skipped += int(columns_skipped)
 
-    def record_dynamic(self, total: int, skipped: int) -> None:
-        """Record one call's runtime (activation-zero) skip opportunity.
-
-        Only the sparse execution mode calls this, so the dynamic
-        counters stay 0 — and every derived rate stays NaN — under
-        plain lowered/reference execution, keeping old exports and
-        digests byte-compatible.
-        """
-        with self._lock:
-            self.dynamic_columns_total += int(total)
-            self.dynamic_columns_skipped += int(skipped)
-
-    def record_occupancy(self, cells_total: int, cells_occupied: int) -> None:
-        """Record the observed canvas occupancy behind one call."""
-        with self._lock:
-            self.canvas_cells_total += int(cells_total)
-            self.canvas_cells_occupied += int(cells_occupied)
-
     def record_accumulator(self, lo: int, hi: int) -> None:
         lo, hi = int(lo), int(hi)
         with self._lock:
@@ -174,10 +144,7 @@ class LayerTelemetry:
     def skip_rate(self) -> float:
         """Fraction of dense columns skipped by *static* pattern pruning.
 
-        Historically the only skip counter; it keeps its exact meaning
-        (weight-pattern skips only) now that runtime skips exist — see
-        :attr:`dynamic_skip_rate` for those.  :attr:`pattern_skip_rate`
-        is the explicit alias.
+        :attr:`pattern_skip_rate` is the explicit alias.
         """
         if self.columns_total == 0:
             return math.nan
@@ -187,24 +154,6 @@ class LayerTelemetry:
     def pattern_skip_rate(self) -> float:
         """Alias of :attr:`skip_rate` under its unambiguous name."""
         return self.skip_rate
-
-    @property
-    def dynamic_skip_rate(self) -> float:
-        """Fraction of columns skipped at runtime (zero activations).
-
-        NaN unless sparse execution ran — the denominator only grows
-        when the dynamic path was eligible.
-        """
-        if self.dynamic_columns_total == 0:
-            return math.nan
-        return self.dynamic_columns_skipped / self.dynamic_columns_total
-
-    @property
-    def occupied_fraction(self) -> float:
-        """Observed occupied-canvas fraction (NaN without occupancy)."""
-        if self.canvas_cells_total == 0:
-            return math.nan
-        return self.canvas_cells_occupied / self.canvas_cells_total
 
     @property
     def saturation_rate(self) -> float:
@@ -240,10 +189,6 @@ class LayerTelemetry:
             self.macs = 0
             self.columns_total = 0
             self.columns_skipped = 0
-            self.dynamic_columns_total = 0
-            self.dynamic_columns_skipped = 0
-            self.canvas_cells_total = 0
-            self.canvas_cells_occupied = 0
             self.activations_total = 0
             self.activations_saturated = 0
             self.acc_min = None
@@ -264,10 +209,6 @@ class LayerTelemetry:
         self.macs += other.macs
         self.columns_total += other.columns_total
         self.columns_skipped += other.columns_skipped
-        self.dynamic_columns_total += other.dynamic_columns_total
-        self.dynamic_columns_skipped += other.dynamic_columns_skipped
-        self.canvas_cells_total += other.canvas_cells_total
-        self.canvas_cells_occupied += other.canvas_cells_occupied
         self.activations_total += other.activations_total
         self.activations_saturated += other.activations_saturated
         if other.acc_min is not None and other.acc_max is not None:
@@ -279,10 +220,6 @@ class LayerTelemetry:
         record["skip_rate"] = None if math.isnan(self.skip_rate) \
             else self.skip_rate
         record["pattern_skip_rate"] = record["skip_rate"]
-        record["dynamic_skip_rate"] = None \
-            if math.isnan(self.dynamic_skip_rate) else self.dynamic_skip_rate
-        record["occupied_fraction"] = None \
-            if math.isnan(self.occupied_fraction) else self.occupied_fraction
         record["saturation_rate"] = None \
             if math.isnan(self.saturation_rate) else self.saturation_rate
         record["headroom_bits"] = None \
@@ -355,8 +292,6 @@ def aggregate_telemetry(collectors: dict) -> dict:
         "macs": total.macs,
         "skip_rate": total.skip_rate,
         "pattern_skip_rate": total.pattern_skip_rate,
-        "dynamic_skip_rate": total.dynamic_skip_rate,
-        "occupied_fraction": total.occupied_fraction,
         "saturation_rate": total.saturation_rate,
         "min_headroom_bits": min(headrooms, default=math.inf),
     }
@@ -367,8 +302,7 @@ def telemetry_digest(collectors: dict) -> str:
 
     Keeps the historical phrasing (``columns skipped`` names the static
     pattern skips, as it always has) so old exports and log parsers
-    stay readable; a dynamic clause is appended only when sparse
-    execution actually ran.
+    stay readable.
     """
     agg = aggregate_telemetry(collectors)
     skip = agg["skip_rate"]
@@ -382,13 +316,6 @@ def telemetry_digest(collectors: dict) -> str:
             f"columns skipped {skip_text}, "
             f"saturation {sat_text}, "
             f"acc headroom >= {head_text} bits")
-    dynamic = agg["dynamic_skip_rate"]
-    if not math.isnan(dynamic):
-        occupied = agg["occupied_fraction"]
-        occupied_text = "n/a" if math.isnan(occupied) \
-            else f"{occupied:.1%}"
-        text += (f", dynamic columns skipped {dynamic:.0%} "
-                 f"(canvas occupied {occupied_text})")
     return text
 
 

@@ -2,10 +2,9 @@
 
 Regression suite for the serving-era thread-safety sweep: the global
 geometry-plan LRU (`repro.nn.functional._GEOMETRY_CACHE`), the
-per-executor ``_plans`` memo dicts (`repro.nn.quantized`), the
-``restrict_to_window`` memoization, and the telemetry counters are all
-hammered from multiple threads against the bit-identical-to-serial
-contract.  Before the sweep, racing threads could interleave
+per-executor ``_plans`` memo dicts (`repro.nn.quantized`), and the
+telemetry counters are all hammered from multiple threads against the
+bit-identical-to-serial contract.  Before the sweep, racing threads could interleave
 get/evict/insert on those dicts mid-mutation; these tests fail loudly
 (wrong bits, lost counter increments, cache overgrowth) if that
 regresses.
@@ -18,7 +17,6 @@ import numpy as np
 from repro import nn
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn.occupancy import activate_occupancy
 from repro.nn.quantized import (_MAX_SHAPE_PLANS, QuantizedConv2d,
                                 QuantizedConvTranspose2d, QuantizedLinear,
                                 activation_scale)
@@ -101,31 +99,6 @@ def test_shared_executors_bit_identical_under_threads():
                 assert np.array_equal(out, serial[row][pos])
 
 
-def test_sparse_windows_bit_identical_under_threads():
-    """The restrict_to_window memo path (sparse contexts) races
-    safely: per-thread occupancy contexts, shared executors."""
-    stack = _executor_stack(seed=3)
-    serial = []
-    for executor, frames in stack:
-        with activate_occupancy():
-            serial.append([executor.forward(f).data for f in frames])
-
-    def worker(index):
-        for executor, frames in ((ex, fr) for ex, fr in stack):
-            with activate_occupancy():
-                for pos, frame in enumerate(frames):
-                    out = executor.forward(frame).data
-                    row = [r for r, (ex, _) in enumerate(stack)
-                           if ex is executor][0]
-                    assert np.array_equal(out, serial[row][pos])
-
-    for _ in range(ROUNDS // 2):
-        for executor, _ in stack:
-            getattr(executor, "_plans", {}).clear()
-        F.clear_geometry_cache()
-        _hammer(worker)
-
-
 def test_plan_memo_never_overgrows_under_threads():
     """Concurrent insertions respect the FIFO bound — no unbounded
     growth through racing evictions."""
@@ -182,7 +155,6 @@ def test_telemetry_counters_exact_under_threads():
             counter.record_quantization(total=10, saturated=1)
             counter.record_matmul(frames=1, macs=100,
                                   columns_total=8, columns_skipped=2)
-            counter.record_dynamic(total=4, skipped=1)
             counter.record_accumulator(-step, step)
 
     _hammer(worker)
@@ -193,8 +165,6 @@ def test_telemetry_counters_exact_under_threads():
     assert counter.macs == 100 * expected
     assert counter.columns_total == 8 * expected
     assert counter.columns_skipped == 2 * expected
-    assert counter.dynamic_columns_total == 4 * expected
-    assert counter.dynamic_columns_skipped == expected
     assert counter.acc_min == -(per_thread - 1)
     assert counter.acc_max == per_thread - 1
     # Snapshots are plain dataclass copies — equality and to_json stay

@@ -6,6 +6,9 @@ match ``execution="reference"`` bit-for-bit after the final rescale;
 ``from_packed`` adopts the blob-embedded IR with no re-trace.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import UPAQCompressor, hck_config, pack_model
@@ -49,6 +52,12 @@ def jetson():
 def _box_tuples(result):
     return [(b.x, b.y, b.z, b.dx, b.dy, b.dz, b.yaw, b.label, b.score)
             for b in result.boxes]
+
+
+def _empty_scene(scene):
+    points = np.asarray(scene.points)
+    return dataclasses.replace(
+        scene, points=np.zeros((0, points.shape[1]), dtype=points.dtype))
 
 
 class TestLoweredProgram:
@@ -123,8 +132,10 @@ class TestEngineParity:
         assert _box_tuples(lowered_result) != _box_tuples(float_result)
 
     def test_bad_execution_mode_rejected(self, jetson):
-        with pytest.raises(ValueError, match="execution mode"):
-            InferenceEngine(_tiny_pp(), jetson, execution="fast")
+        # A removed mode name must fail loudly, never fall back.
+        for mode in ("fast", "lowered-sparse"):
+            with pytest.raises(ValueError, match="execution mode"):
+                InferenceEngine(_tiny_pp(), jetson, execution=mode)
 
     def test_uncompressed_model_runs_plain_forward(self, scenes, jetson):
         """A dense fp32 model has no lowerable nodes; both modes fall
@@ -136,6 +147,37 @@ class TestEngineParity:
         plain = model.predict(scenes[0])
         routed = engine._predict(scenes[0])
         assert _box_tuples(routed) == _box_tuples(plain)
+
+
+class TestEmptyFrameBoundary:
+    """A zero-point scene scatters onto an all-zero canvas: every
+    executor sees all-zero codes, and the frame must still yield a valid
+    prediction — bit-identical across modes and batching."""
+
+    def test_empty_scene_matches_across_modes(self, compressed, scenes,
+                                              jetson):
+        empty = _empty_scene(scenes[0])
+        outputs = {}
+        for mode in ("reference", "lowered"):
+            engine = InferenceEngine(compressed.model, jetson,
+                                     execution=mode, ir=compressed.ir)
+            result = engine._predict(empty)
+            assert result.boxes is not None
+            outputs[mode] = _box_tuples(result)
+        assert outputs["lowered"] == outputs["reference"]
+
+    def test_empty_scene_inside_batched_window(self, compressed, scenes,
+                                               jetson):
+        window = [scenes[0], _empty_scene(scenes[1]), scenes[2]]
+        batched = InferenceEngine(compressed.model, jetson,
+                                  execution="lowered", ir=compressed.ir,
+                                  batch_size=3)._predict_window(window)
+        solo = InferenceEngine(compressed.model, jetson,
+                               execution="lowered", ir=compressed.ir)
+        sequential = [solo._predict(scene) for scene in window]
+        assert len(batched) == len(window)
+        for b, s in zip(batched, sequential):
+            assert _box_tuples(b) == _box_tuples(s)
 
 
 class TestFromPackedIR:

@@ -181,9 +181,7 @@ def test_telemetry_streams_isolated_and_byte_equal(compressed, jetson):
 
     Telemetry streams run single-frame windows (per-layer counts can't
     be split across a batched pass), so the solo reference uses
-    ``batch_size=1`` — dense counters are batch-invariant, but this
-    also keeps the equality exact under ``lowered-sparse`` dynamic
-    counters, which are windowing-dependent (see docs/SERVING.md).
+    ``batch_size=1``.
     """
     streams = _scene_streams(count=3, frames=4)
     slos = {"s0": StreamSLO(telemetry=True),
@@ -196,22 +194,6 @@ def test_telemetry_streams_isolated_and_byte_equal(compressed, jetson):
         _assert_reports_equal(reports[name], ref)
         assert reports[name].telemetry
     assert reports["s2"].telemetry == {}
-
-
-def test_sparse_execution_streams_byte_equal(compressed, jetson):
-    """lowered-sparse streams (thread-local occupancy contexts on
-    worker threads) match solo sparse runs."""
-    streams = _scene_streams(count=2, frames=4)
-    engine = _solo_engine(compressed, jetson,
-                          execution="lowered-sparse", batch_size=1)
-    slos = {name: StreamSLO(telemetry=True) for name in streams}
-    with ServingEngine(engine) as serving:
-        reports = serving.serve(streams, slos=slos)
-    for name, scenes in streams.items():
-        ref = _solo_engine(compressed, jetson,
-                           execution="lowered-sparse", batch_size=1,
-                           telemetry=True).run(scenes)
-        _assert_reports_equal(reports[name], ref)
 
 
 def test_threaded_clients_interleaved_submission(compressed, jetson):

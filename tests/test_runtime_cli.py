@@ -144,6 +144,11 @@ class TestCLI:
         assert args.on_corrupt == "last_good"
         assert args.fallback_model == "none"
 
+    def test_stream_rejects_removed_sparse_mode(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "--execution", "lowered-sparse"])
+        assert excinfo.value.code == 2
+
 
 class TestIrDumpCLI:
     """`repro ir dump <model>` prints the extracted ModelIR as JSON."""
