@@ -75,17 +75,13 @@ class Im2colPlan:
     def positions(self) -> int:
         return self.out_h * self.out_w
 
-    def pad(self, x: np.ndarray) -> np.ndarray:
-        if self.padding > 0:
-            return np.pad(x, ((0, 0), (0, 0),
-                              (self.padding, self.padding),
-                              (self.padding, self.padding)))
-        return x
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Gather (N, C, H, W) data into (N, C*k*k, P) patch columns."""
         n = x.shape[0]
-        flat = self.pad(x).reshape(n, -1)
+        p = self.padding
+        if p > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        flat = x.reshape(n, -1)
         return flat.take(self.indices.ravel(), axis=1) \
             .reshape(n, self.rows, self.positions)
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, _as_array, is_grad_enabled
 
 __all__ = [
     "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm2d", "BatchNorm1d",
@@ -100,7 +100,17 @@ class Linear(Module):
 
 
 class _BatchNorm(Module):
-    """Shared batch-norm machinery; subclasses pick the reduced axes."""
+    """Shared batch-norm machinery; subclasses pick the reduced axes.
+
+    Eval mode under :func:`~repro.nn.tensor.no_grad` (the inference
+    path) normalizes in raw float32 numpy from the *current* running
+    buffers and returns one :class:`Tensor`, instead of building an
+    autograd node per elementwise op.  It runs the same numpy ops in
+    the same order as the graph path, so outputs are byte-identical;
+    nothing is cached, so ``load_state_dict`` and in-place buffer
+    rewrites take effect on the next call.  Training and grad-enabled
+    eval keep the autograd graph.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5,
                  momentum: float = 0.1):
@@ -116,6 +126,16 @@ class _BatchNorm(Module):
                              np.ones(num_features, dtype=np.float32))
 
     def _normalize(self, x: Tensor, axes: tuple, param_shape: tuple) -> Tensor:
+        if not self.training and not is_grad_enabled():
+            # Same ops as the graph path below: Tensor(...) coerces the
+            # buffers exactly as _as_array does, ``var + eps`` adds a
+            # float32 eps, and Tensor.__pow__ is np.power.
+            mean = _as_array(self.running_mean.reshape(param_shape))
+            var = _as_array(self.running_var.reshape(param_shape))
+            x_hat = (x.data - mean) \
+                / np.power(var + np.float32(self.eps), 0.5)
+            return Tensor(x_hat * self.weight.data.reshape(param_shape)
+                          + self.bias.data.reshape(param_shape))
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)

@@ -44,6 +44,17 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
 * The im2col / scatter geometry comes from the shape-keyed plan cache
   in :mod:`repro.nn.functional`, restricted to the kept columns and
   memoized per input shape on the executor.
+* Activations are quantized **once, straight into the work buffer**
+  (:func:`_quantize_into`): the conv path writes the codes into the
+  interior of a per-call zero-filled padded buffer of the work dtype
+  (float64 on the gemm / reference path, int64 on the einsum fallback)
+  and gathers its im2col columns from it — no ``np.pad`` copy and no
+  int64 → float64 round trip.  The buffer is allocated per call, never
+  shared per plan, so concurrent serving threads cannot race on it.
+* The epilogue multiplies the accumulator by a rescale precomputed in
+  :meth:`_compact` with ``np.multiply(..., dtype=float64)`` — the same
+  elementwise product as before, without a cast copy — and adds the
+  bias in place.
 * When the a-priori accumulator bound certifies every intermediate sum
   stays below 2⁵³ (true for all 4–16-bit configurations this repo
   produces), both paths share a float64 BLAS gemm whose result is the
@@ -122,21 +133,35 @@ def activation_scale(x: np.ndarray, bits: int = 8) -> float:
     return alpha / max_code if alpha > 0 else 1.0
 
 
-def quantize_activation(x: np.ndarray, scale: float,
-                        bits: int = 8, telemetry=None) -> np.ndarray:
-    """Activation → integer codes at a fixed scale.
+def _quantize_into(x: np.ndarray, scale: float, bits: int,
+                   out: np.ndarray, telemetry=None) -> np.ndarray:
+    """Write the integer codes of ``x`` at ``scale`` into ``out``.
 
+    ``out`` is any array (or view) of ``x``'s shape; the codes are
+    small integers, exact in every work dtype the executors use, so
+    writing them as float64 equals writing int64 codes and casting.
     ``telemetry`` (a :class:`repro.runtime.telemetry.LayerTelemetry`)
     optionally counts how many values saturate — round outside
     ``[-max_code, max_code]`` and get clipped, i.e. fall outside the
-    calibrated range.  Counting never changes the returned codes.
+    calibrated range.  Counting never changes the codes.
     """
     max_code = 2 ** (bits - 1) - 1
     rounded = np.round(x / scale)
     if telemetry is not None:
         telemetry.record_quantization(
             rounded.size, int((np.abs(rounded) > max_code).sum()))
-    return np.clip(rounded, -max_code, max_code).astype(np.int64)
+    np.clip(rounded, -max_code, max_code, out=rounded)
+    out[...] = rounded
+    return out
+
+
+def quantize_activation(x: np.ndarray, scale: float,
+                        bits: int = 8, telemetry=None) -> np.ndarray:
+    """Activation → int64 integer codes at a fixed scale (see
+    :func:`_quantize_into` for the saturation ``telemetry``)."""
+    x = np.asarray(x)
+    return _quantize_into(x, scale, bits, np.empty(x.shape, np.int64),
+                          telemetry)
 
 
 def _per_channel_codes(flat: np.ndarray, bits: int):
@@ -192,6 +217,7 @@ class QuantizedConv2d(Module):
         w_mat = self.weight_codes.reshape(out_c, -1)
         self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols])
         self._w_kept_f64 = self._w_kept.astype(np.float64)
+        self._rescale = self.weight_scales[None, :, None] * self.input_scale
         self._kept = int(self._keep_cols.sum())
         max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
         act_max = 2 ** (self.activation_bits - 1) - 1
@@ -234,7 +260,8 @@ class QuantizedConv2d(Module):
                                activation_bits)
 
     def _accumulate(self, data: np.ndarray, dtype) -> np.ndarray:
-        """Shared core: quantize → gather kept columns → one matmul.
+        """Shared core: quantize into the padded buffer → gather kept
+        columns → one matmul.
 
         ``dtype=int64`` is the deployment path; ``dtype=float64`` is the
         reference semantics.  Both see the same codes and the same
@@ -249,12 +276,14 @@ class QuantizedConv2d(Module):
         out_c = self.weight_codes.shape[0]
         telemetry = self.telemetry
         idx, geometry = self._shape_plan(c, h, w)
-        x_codes = quantize_activation(data, self.input_scale,
-                                      self.activation_bits,
-                                      telemetry=telemetry)
         int_work = not self._use_gemm and np.dtype(dtype) == np.int64
-        work = x_codes if int_work else x_codes.astype(np.float64)
-        cols = geometry.pad(work).reshape(n, -1).take(idx, axis=1) \
+        p = self.padding
+        # Per-call buffer: executors are shared by serving threads.
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p),
+                          np.int64 if int_work else np.float64)
+        _quantize_into(data, self.input_scale, self.activation_bits,
+                       padded[:, :, p:p + h, p:p + w], telemetry)
+        cols = padded.reshape(n, -1).take(idx, axis=1) \
             .reshape(n, self._kept, geometry.positions)
         w_mat = self._w_kept if int_work else self._w_kept_f64
         if self._use_gemm:
@@ -278,17 +307,16 @@ class QuantizedConv2d(Module):
         kernel = self.weight_codes.shape[-1]
         out_h = (h + 2 * self.padding - kernel) // self.stride + 1
         out_w = (w + 2 * self.padding - kernel) // self.stride + 1
-        rescale = self.weight_scales[None, :, None] * self.input_scale
-        out = acc.astype(np.float64) * rescale
+        out = np.multiply(acc, self._rescale, dtype=np.float64)
         out = out.reshape(n, out_c, out_h, out_w)
         if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
+            out += self.bias.reshape(1, -1, 1, 1)
         else:
             # Canonicalize zero signs: the float einsum fallback can
             # leave -0.0 where the int64 accumulation gives +0.0.
             # Adding 0.0 maps -0.0 to +0.0 and is the identity
             # elsewhere, so both execution modes emit the same bytes.
-            out = out + 0.0
+            out += 0.0
         return Tensor(out.astype(np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -362,6 +390,8 @@ class QuantizedConvTranspose2d(Module):
         # (kept, in_c) @ (n, in_c, h·w) gemm.
         self._w_keptT = np.ascontiguousarray(w_mat[:, self._keep_cols].T)
         self._w_keptT_f64 = self._w_keptT.astype(np.float64)
+        self._rescale = \
+            self.weight_scales[None, :, None, None] * self.input_scale
         self._kept = int(self._keep_cols.sum())
         max_w = int(np.abs(self._w_keptT).max()) if self._w_keptT.size else 0
         act_max = 2 ** (self.activation_bits - 1) - 1
@@ -407,13 +437,12 @@ class QuantizedConvTranspose2d(Module):
         n, c, h, w = data.shape
         in_c = self.weight_codes.shape[0]
         telemetry = self.telemetry
-        x_codes = quantize_activation(data, self.input_scale,
-                                      self.activation_bits,
-                                      telemetry=telemetry)
         int_work = not self._use_gemm and np.dtype(dtype) == np.int64
+        x_codes = _quantize_into(
+            data, self.input_scale, self.activation_bits,
+            np.empty(data.shape, np.int64 if int_work else np.float64),
+            telemetry)
         x_mat = x_codes.reshape(n, in_c, h * w)
-        if not int_work:
-            x_mat = x_mat.astype(np.float64)
         w_mat = self._w_keptT if int_work else self._w_keptT_f64
         if self._use_gemm:
             cols = _batched_gemm(w_mat, x_mat)
@@ -434,13 +463,12 @@ class QuantizedConvTranspose2d(Module):
         return acc
 
     def _finish(self, acc: np.ndarray) -> Tensor:
-        rescale = self.weight_scales[None, :, None, None] * self.input_scale
-        out = acc.astype(np.float64) * rescale
+        out = np.multiply(acc, self._rescale, dtype=np.float64)
         if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
+            out += self.bias.reshape(1, -1, 1, 1)
         else:
             # Canonicalize zero signs (see QuantizedConv2d._finish).
-            out = out + 0.0
+            out += 0.0
         return Tensor(out.astype(np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -497,6 +525,7 @@ class QuantizedLinear(Module):
         self._w_kept = np.ascontiguousarray(
             self.weight_codes[:, self._keep_cols])
         self._w_kept_f64 = self._w_kept.astype(np.float64)
+        self._rescale = self.weight_scales[None, :] * self.input_scale
         self._keep_idx = np.flatnonzero(self._keep_cols)
         self._kept = int(self._keep_idx.size)
         max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
@@ -518,18 +547,19 @@ class QuantizedLinear(Module):
         in_features = self.weight_codes.shape[1]
         out_features = self.weight_codes.shape[0]
         telemetry = self.telemetry
-        x_codes = quantize_activation(data, self.input_scale,
-                                      self.activation_bits,
-                                      telemetry=telemetry)
+        use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
+        x_codes = _quantize_into(
+            data, self.input_scale, self.activation_bits,
+            np.empty(data.shape, np.float64 if use_f64 else np.int64),
+            telemetry)
         # A leading batch dimension (ndim > 2) folds into the row axis:
         # one gemm covers the whole micro-batch.
         frames = data.shape[0] if data.ndim > 2 else 1
         x_mat = x_codes.reshape(-1, in_features)
         if self._kept != in_features:
             x_mat = x_mat.take(self._keep_idx, axis=1)
-        use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
         if use_f64:
-            acc = x_mat.astype(np.float64) @ self._w_kept_f64.T
+            acc = x_mat @ self._w_kept_f64.T
         else:
             acc = x_mat @ self._w_kept.T
         if telemetry is not None:
@@ -544,13 +574,12 @@ class QuantizedLinear(Module):
         return acc
 
     def _finish(self, acc: np.ndarray, input_shape: tuple) -> Tensor:
-        out = acc.astype(np.float64) \
-            * (self.weight_scales[None, :] * self.input_scale)
+        out = np.multiply(acc, self._rescale, dtype=np.float64)
         if self.bias is not None:
-            out = out + self.bias[None, :]
+            out += self.bias[None, :]
         else:
             # Canonicalize zero signs (see QuantizedConv2d._finish).
-            out = out + 0.0
+            out += 0.0
         out_shape = input_shape[:-1] + (self.weight_codes.shape[0],)
         return Tensor(out.reshape(out_shape).astype(np.float32))
 

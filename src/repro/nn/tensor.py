@@ -10,28 +10,43 @@ convolution/pooling primitives live in :mod:`repro.nn.functional`.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """Per-thread grad-mode depth: a serving thread inside ``no_grad``
+    must not switch off graph recording in a training thread."""
+
+    disabled = 0
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph recording (inference mode)."""
+    """Context manager that disables graph recording (inference mode).
+
+    The mode is per thread: entering ``no_grad`` affects only the
+    calling thread.
+    """
 
     def __enter__(self):
-        _GRAD_ENABLED.append(False)
+        _GRAD_MODE.disabled += 1
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _GRAD_ENABLED.pop()
+        _GRAD_MODE.disabled -= 1
         return False
 
 
 def is_grad_enabled() -> bool:
-    """Return True when operations should record the autograd graph."""
-    return _GRAD_ENABLED[-1]
+    """Return True when operations on this thread should record the
+    autograd graph."""
+    return _GRAD_MODE.disabled == 0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -17,26 +17,46 @@ attribution — lives in :mod:`repro.runtime.telemetry`; see
 streams multiplexed over shared compiled programs with per-stream SLOs,
 admission control, backpressure and cross-stream micro-batching — lives
 in :mod:`repro.runtime.serving`; see ``docs/SERVING.md``.
+
+The names below are re-exported lazily (PEP 562): importing one
+submodule — say :mod:`repro.runtime.executors` for
+``EXECUTION_MODES`` — does not pull in the engine, serving and
+hardware stacks.
 """
 
-from .engine import (DegradationLadder, DegradationPolicy, FrameRecord,
-                     InferenceEngine, LadderRung, StreamReport,
-                     SwapEvent)
-from .executors import EXECUTION_MODES, LoweredProgram
-from .faults import FaultInjector, FaultSpec, FrameFaults
-from .serving import (SERVING_BACKENDS, AdmissionError,
-                      BackpressureError, ReplicaSpec, ServingEngine,
-                      ServingError, ServingStats, StreamHandle,
-                      StreamSLO)
-from .telemetry import (LayerAttribution, LayerTelemetry, TraceEvent,
-                        aggregate_telemetry, export_trace)
+import importlib
 
-__all__ = ["InferenceEngine", "StreamReport", "FrameRecord",
-           "DegradationPolicy", "DegradationLadder", "LadderRung",
-           "SwapEvent", "FaultInjector", "FaultSpec",
-           "FrameFaults", "LoweredProgram", "EXECUTION_MODES",
-           "LayerTelemetry", "TraceEvent", "LayerAttribution",
-           "aggregate_telemetry", "export_trace",
-           "ServingEngine", "StreamSLO", "StreamHandle", "ServingStats",
-           "ReplicaSpec", "SERVING_BACKENDS",
-           "ServingError", "AdmissionError", "BackpressureError"]
+#: public name → submodule that defines it (imported on first access)
+_EXPORTS = {
+    "InferenceEngine": "engine", "StreamReport": "engine",
+    "FrameRecord": "engine", "DegradationPolicy": "engine",
+    "DegradationLadder": "engine", "LadderRung": "engine",
+    "SwapEvent": "engine",
+    "FaultInjector": "faults", "FaultSpec": "faults",
+    "FrameFaults": "faults",
+    "LoweredProgram": "executors", "EXECUTION_MODES": "executors",
+    "LayerTelemetry": "telemetry", "TraceEvent": "telemetry",
+    "LayerAttribution": "telemetry", "aggregate_telemetry": "telemetry",
+    "export_trace": "telemetry",
+    "ServingEngine": "serving", "StreamSLO": "serving",
+    "StreamHandle": "serving", "ServingStats": "serving",
+    "ReplicaSpec": "serving", "SERVING_BACKENDS": "serving",
+    "ServingError": "serving", "AdmissionError": "serving",
+    "BackpressureError": "serving",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

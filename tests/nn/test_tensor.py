@@ -1,11 +1,14 @@
 """Unit tests for the autograd core: ops, broadcasting, graph mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, no_grad
+from repro.nn.tensor import is_grad_enabled
 
 from .util import check_grad
 
@@ -206,6 +209,41 @@ class TestGraphMechanics:
         assert not y.requires_grad
         z = x + 1.0
         assert z.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # Thread A holds no_grad() while thread B records a graph and
+        # back-propagates: the mode of one thread must not leak into
+        # another (a serving thread vs. a calibration/QAT thread).
+        entered, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_no_grad():
+            with no_grad():
+                seen["a"] = is_grad_enabled()
+                entered.set()
+                done.wait(timeout=10)
+
+        def train():
+            entered.wait(timeout=10)
+            seen["b"] = is_grad_enabled()
+            x = Tensor(np.array([3.0], dtype=np.float32),
+                       requires_grad=True)
+            (x * x).sum().backward()
+            seen["grad"] = None if x.grad is None else x.grad.copy()
+            done.set()
+
+        a = threading.Thread(target=hold_no_grad)
+        b = threading.Thread(target=train)
+        a.start()
+        b.start()
+        b.join(timeout=10)
+        done.set()
+        a.join(timeout=10)
+        assert not a.is_alive() and not b.is_alive()
+        assert seen["a"] is False
+        assert seen["b"] is True
+        np.testing.assert_array_equal(seen["grad"], [6.0])
+        assert is_grad_enabled() is True
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)

@@ -9,10 +9,8 @@ backpressure (never a silent drop), cross-stream micro-batch windows
 forming only when shapes match, and per-stream telemetry isolation.
 """
 
-import dataclasses
 import threading
 
-import numpy as np
 import pytest
 
 from repro.cli import main
