@@ -18,10 +18,12 @@ the IR once and shares it with profiling and plan lowering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.nn.module import Module
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LayerGroups", "preprocess_model", "group_layers", "find_root"]
 

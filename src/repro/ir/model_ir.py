@@ -22,10 +22,12 @@ restored checkpoint can be re-lowered without the original float model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.hardware.profile import LayerProfile
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["IRNode", "CompressionInfo", "ModelIR"]
 
@@ -186,6 +188,7 @@ class ModelIR:
 
     def graph(self) -> nx.DiGraph:
         """The IR as a networkx DiGraph (for visualization/analysis)."""
+        import networkx as nx
         graph = nx.DiGraph()
         graph.add_nodes_from(self.layer_names)
         graph.add_edges_from(self.edges)

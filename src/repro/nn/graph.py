@@ -10,11 +10,14 @@ graph from the outputs back to the inputs, and lift it to a layer-level
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .layers import Conv2d, ConvTranspose2d, Linear
 from .module import Module
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["compute_graph", "layer_map", "topological_layers"]
 
@@ -69,6 +72,7 @@ def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
     if not outputs:
         raise ValueError("model forward produced no tensors to trace")
 
+    import networkx as nx
     graph = nx.DiGraph()
     graph.add_nodes_from(layers)
 
@@ -136,4 +140,5 @@ def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
 
 def topological_layers(graph: nx.DiGraph) -> list[str]:
     """Layer names in dataflow order (inputs first)."""
+    import networkx as nx
     return list(nx.topological_sort(graph))

@@ -46,11 +46,19 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
   memoized per input shape on the executor.
 * Activations are quantized **once, straight into the work buffer**
   (:func:`_quantize_into`): the conv path writes the codes into the
-  interior of a per-call zero-filled padded buffer of the work dtype
-  (float64 on the gemm / reference path, int64 on the einsum fallback)
-  and gathers its im2col columns from it — no ``np.pad`` copy and no
-  int64 → float64 round trip.  The buffer is allocated per call, never
-  shared per plan, so concurrent serving threads cannot race on it.
+  interior of a per-call padded buffer of the work dtype (float64 on
+  the gemm / reference path, int64 on the einsum fallback) and gathers
+  its im2col columns from it — no ``np.pad`` copy and no int64 →
+  float64 round trip.  Only a padded buffer is zero-filled; an
+  unpadded one is overwritten whole.  The buffer is allocated per call,
+  never shared per plan, so concurrent serving threads cannot race on
+  it.
+* **Pointwise layers skip the identity gather.**  For a 1×1, stride-1,
+  unpadded conv with every column kept, the work buffer already *is*
+  the ``(n, c, h·w)`` column matrix, so the memoized shape plan holds
+  no gather indices and the gemm reads the buffer directly; the same
+  deconvolution skips its identity col2im scatter.  Telemetry counts
+  are those of the general path.
 * The epilogue multiplies the accumulator by a rescale precomputed in
   :meth:`_compact` with ``np.multiply(..., dtype=float64)`` — the same
   elementwise product as before, without a cast copy — and adds the
@@ -84,6 +92,9 @@ _EXACT_ACC_LIMIT = 2 ** 53
 #: Per-executor cap on memoized input-shape plans.
 _MAX_SHAPE_PLANS = 16
 
+#: Memo miss marker: a plan may legitimately be ``None`` (identity).
+_MISSING = object()
+
 
 def _memoized_plan(plans: dict, lock: threading.Lock, key, build):
     """Thread-safe get-or-build on an executor's bounded plan memo.
@@ -98,13 +109,13 @@ def _memoized_plan(plans: dict, lock: threading.Lock, key, build):
     consistent.
     """
     with lock:
-        entry = plans.get(key)
-    if entry is not None:
+        entry = plans.get(key, _MISSING)
+    if entry is not _MISSING:
         return entry
     built = build()
     with lock:
-        entry = plans.get(key)
-        if entry is None:
+        entry = plans.get(key, _MISSING)
+        if entry is _MISSING:
             while len(plans) >= _MAX_SHAPE_PLANS:
                 plans.pop(next(iter(plans)))
             plans[key] = built
@@ -232,15 +243,24 @@ class QuantizedConv2d(Module):
         self._plans_lock = threading.Lock()
 
     def _shape_plan(self, c: int, h: int, w: int):
-        """Kept-column gather indices + geometry for one input shape."""
+        """Kept-column gather indices + geometry for one input shape.
+
+        The indices are ``None`` when the gather is the identity — a
+        1×1, stride-1, unpadded kernel with every column kept, whose
+        work buffer already *is* the ``(n, c, h·w)`` column matrix.
+        """
 
         def build():
             kernel = self.weight_codes.shape[-1]
             geometry = im2col_plan(c, h, w, kernel, self.stride,
                                    self.padding)
-            idx = geometry.indices if self._keep_cols.all() \
-                else geometry.indices[self._keep_cols]
-            return (idx.ravel(), geometry)
+            if not self._keep_cols.all():
+                idx = geometry.indices[self._keep_cols].ravel()
+            elif (kernel, self.stride, self.padding) == (1, 1, 0):
+                idx = None
+            else:
+                idx = geometry.indices.ravel()
+            return (idx, geometry)
 
         return _memoized_plan(self._plans, self._plans_lock,
                               (c, h, w), build)
@@ -278,13 +298,18 @@ class QuantizedConv2d(Module):
         idx, geometry = self._shape_plan(c, h, w)
         int_work = not self._use_gemm and np.dtype(dtype) == np.int64
         p = self.padding
-        # Per-call buffer: executors are shared by serving threads.
-        padded = np.zeros((n, c, h + 2 * p, w + 2 * p),
-                          np.int64 if int_work else np.float64)
+        # Per-call buffer: executors are shared by serving threads.  An
+        # unpadded buffer is overwritten whole, so it needs no zeroing.
+        padded = (np.zeros if p else np.empty)(
+            (n, c, h + 2 * p, w + 2 * p),
+            np.int64 if int_work else np.float64)
         _quantize_into(data, self.input_scale, self.activation_bits,
                        padded[:, :, p:p + h, p:p + w], telemetry)
-        cols = padded.reshape(n, -1).take(idx, axis=1) \
-            .reshape(n, self._kept, geometry.positions)
+        if idx is None:
+            cols = padded.reshape(n, c, h * w)
+        else:
+            cols = padded.reshape(n, -1).take(idx, axis=1) \
+                .reshape(n, self._kept, geometry.positions)
         w_mat = self._w_kept if int_work else self._w_kept_f64
         if self._use_gemm:
             acc = _batched_gemm(w_mat, cols)
@@ -405,10 +430,16 @@ class QuantizedConvTranspose2d(Module):
         self._plans_lock = threading.Lock()
 
     def _shape_plan(self, h: int, w: int):
-        """The kept-column scatter plan for one input spatial shape."""
+        """The kept-column scatter plan for one input spatial shape, or
+        ``None`` when the scatter is the identity (1×1, stride 1,
+        unpadded, every column kept): the gemm output then already is
+        the ``(n, out_c, h, w)`` accumulator."""
 
         def build():
             _, out_c, kernel, _ = self.weight_codes.shape
+            if (kernel, self.stride, self.padding) == (1, 1, 0) \
+                    and self._keep_cols.all():
+                return None
             out_h = (h - 1) * self.stride - 2 * self.padding + kernel
             out_w = (w - 1) * self.stride - 2 * self.padding + kernel
             return col2im_plan(out_c, out_h, out_w, kernel, self.stride,
@@ -448,7 +479,9 @@ class QuantizedConvTranspose2d(Module):
             cols = _batched_gemm(w_mat, x_mat)
         else:
             cols = np.einsum("ok,nkp->nop", w_mat, x_mat)
-        acc = self._shape_plan(h, w).apply(cols)
+        plan = self._shape_plan(h, w)
+        acc = cols.reshape(n, -1, h, w) if plan is None \
+            else plan.apply(cols)
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(

@@ -86,9 +86,15 @@ class PillarEncoder:
 
         n_pillars = len(unique_cells)
         max_pts = cfg.max_points_per_pillar
-        features = np.zeros((n_pillars, max_pts, self.FEATURE_DIM),
+        # Built slot-major, (max_points, 9, P): every feature of one
+        # slot is a contiguous row over the pillars.  The centroid sum
+        # below then reduces over the outer slot axis, adding slot 0,
+        # 1, 2, ... in turn exactly as the pillar-major reduction did,
+        # and the elementwise offsets run over whole rows instead of an
+        # innermost axis of 3.
+        features = np.zeros((max_pts, self.FEATURE_DIM, n_pillars),
                             dtype=np.float32)
-        mask = np.zeros((n_pillars, max_pts), dtype=np.float32)
+        mask = np.zeros((max_pts, n_pillars), dtype=np.float32)
 
         # The stable sort groups points by pillar in input order, so a
         # point's slot is its rank inside its group; points past the
@@ -99,26 +105,26 @@ class PillarEncoder:
         slot = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[pillar]
         fits = slot < max_pts
         pillar, slot = pillar[fits], slot[fits]
-        features[pillar, slot, :4] = pts[order[fits]]
-        mask[pillar, slot] = 1.0
+        features[slot, :4, pillar] = pts[order[fits]]
+        mask[slot, pillar] = 1.0
 
         indices = np.stack([unique_cells // nx, unique_cells % nx], axis=1)
 
         # Offsets to the per-pillar centroid of real points.
-        counts = mask.sum(axis=1, keepdims=True)
-        centroid = (features[:, :, :3] * mask[:, :, None]).sum(axis=1,
-                                                               keepdims=True)
-        centroid = centroid / np.maximum(counts[:, :, None], 1.0)
-        features[:, :, 4:7] = (features[:, :, :3] - centroid) * mask[:, :, None]
+        valid = mask[:, None, :]
+        counts = mask.sum(axis=0)
+        centroid = (features[:, :3] * valid).sum(axis=0)
+        centroid = centroid / np.maximum(counts, 1.0)
+        features[:, 4:7] = (features[:, :3] - centroid) * valid
 
         # Offsets to the pillar's geometric center.
         center_x = cfg.x_range[0] + (indices[:, 1] + 0.5) * cfg.pillar_size
         center_y = cfg.y_range[0] + (indices[:, 0] + 0.5) * cfg.pillar_size
-        features[:, :, 7] = (features[:, :, 0] - center_x[:, None]) * mask
-        features[:, :, 8] = (features[:, :, 1] - center_y[:, None]) * mask
+        features[:, 7] = (features[:, 0] - center_x) * mask
+        features[:, 8] = (features[:, 1] - center_y) * mask
 
-        return Pillars(features=features, mask=mask, indices=indices,
-                       grid_shape=cfg.grid_shape)
+        return Pillars(features=features.transpose(2, 0, 1), mask=mask.T,
+                       indices=indices, grid_shape=cfg.grid_shape)
 
 
 @dataclass

@@ -748,8 +748,7 @@ class InferenceEngine:
         per-frame cost models (and tests) can vary it; without one the
         hook is bypassed and the plan's base cost is returned.
         """
-        latency = self.device.latency(self.plan)
-        energy = self.device.energy(self.plan)
+        _, latency, energy, _, _ = self._cost_model()
         if frame_id is not None and self.cost_hook is not None:
             latency, energy = self.cost_hook(frame_id, latency, energy)
         return latency, energy
@@ -845,10 +844,10 @@ class InferenceEngine:
 
     def _session_cost(self, session: _StreamSession,
                       frame_id: int) -> tuple[float, float]:
-        """(latency s, energy J) of one frame on the session's rung."""
-        plan = self._level_plan(self._levels[session.active])
-        latency = self.device.latency(plan)
-        energy = self.device.energy(plan)
+        """(latency s, energy J) of one frame on the session's rung,
+        read from the level's cached cost split (see _level_costs)."""
+        _, latency, energy, _, _ = \
+            self._level_costs(self._levels[session.active])
         if self.cost_hook is not None:
             latency, energy = self.cost_hook(frame_id, latency, energy)
         return latency, energy

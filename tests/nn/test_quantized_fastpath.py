@@ -1,13 +1,16 @@
 """Quantize-into-buffer executors ≡ the quantize → im2col → gemm oracle.
 
 The executors quantize activations straight into their (padded) work
-buffer and rescale the accumulator with a precomputed factor.  These
-tests pin that against the plain semantics, byte for byte: integer
-codes from :func:`quantize_activation`, patch columns from
-``geometry.apply`` (or the col2im scatter for deconvolution), an exact
-int64 accumulation, then ``acc · (s_w · s_x)`` plus bias.  The
-saturation counters must match the oracle's too — including inputs
-that saturate, pruned weight columns, and the einsum fallback.
+buffer and rescale the accumulator with a precomputed factor; a 1×1,
+stride-1, unpadded kernel with every column kept skips the im2col
+gather (conv) or col2im scatter (deconv) altogether.  These tests pin
+that against the plain semantics, byte for byte: integer codes from
+:func:`quantize_activation`, patch columns from ``geometry.apply`` (or
+the col2im scatter for deconvolution), an exact int64 accumulation,
+then ``acc · (s_w · s_x)`` plus bias.  Every telemetry counter must
+match the oracle's too — MACs, columns, saturation and accumulator
+range — including inputs that saturate, pruned weight columns, and the
+einsum fallback.
 """
 
 import itertools
@@ -24,6 +27,20 @@ from repro.nn.quantized import (QuantizedConv2d, QuantizedConvTranspose2d,
 from repro.runtime.telemetry import LayerTelemetry
 
 CONFIGS = list(itertools.product((0, 1, 2), (1, 2), (1, 3), (4, 8, 16)))
+
+
+def _with_kernels(configs):
+    """Each config with a 3×3 kernel missing one pruned corner column,
+    and with a 1×1 kernel whose columns are all kept (the gather-free
+    path at stride 1, padding 0) or lose one whole channel (the gather
+    path).  Params are ``(*config, kernel, prune)``."""
+    cases = []
+    for config in configs:
+        name = "-".join(map(str, config))
+        cases += [pytest.param(*config, 3, True, id=name),
+                  pytest.param(*config, 1, False, id=name + "-1x1"),
+                  pytest.param(*config, 1, True, id=name + "-1x1-pruned")]
+    return cases
 
 
 def _input(batch, shape, seed):
@@ -45,6 +62,18 @@ def _finish(acc, scales, input_scale, bias, shape):
     return out.astype(np.float32)
 
 
+def _record_matmul(tel, w_mat, acc, frames, positions):
+    """The matmul counters of a dense ``w_mat`` whose all-zero columns
+    are skipped: ``w_mat.shape[0]`` outputs per kept column and
+    position, ``w_mat.shape[1]`` columns per frame."""
+    kept = int(np.any(w_mat != 0, axis=0).sum())
+    tel.record_matmul(macs=w_mat.shape[0] * kept * frames * positions,
+                      columns_total=frames * w_mat.shape[1],
+                      columns_skipped=frames * (w_mat.shape[1] - kept),
+                      frames=frames)
+    tel.record_accumulator(acc.min(), acc.max())
+
+
 def _conv_oracle(q, x):
     tel = LayerTelemetry()
     n, c, h, w = x.shape
@@ -53,7 +82,9 @@ def _conv_oracle(q, x):
     codes = quantize_activation(x, q.input_scale, q.activation_bits,
                                 telemetry=tel)
     cols = geometry.apply(codes)
-    acc = np.einsum("ok,nkp->nop", q.weight_codes.reshape(out_c, -1), cols)
+    w_mat = q.weight_codes.reshape(out_c, -1)
+    acc = np.einsum("ok,nkp->nop", w_mat, cols)
+    _record_matmul(tel, w_mat, acc, n, geometry.positions)
     acc = acc.reshape(n, out_c, geometry.out_h, geometry.out_w)
     return _finish(acc, q.weight_scales, q.input_scale, q.bias,
                    (1, -1, 1, 1)), tel
@@ -65,12 +96,13 @@ def _deconv_oracle(q, x):
     in_c, out_c, k, _ = q.weight_codes.shape
     codes = quantize_activation(x, q.input_scale, q.activation_bits,
                                 telemetry=tel)
-    cols = np.einsum("ko,nkp->nop", q.weight_codes.reshape(in_c, -1),
-                     codes.reshape(n, in_c, h * w))
+    w_mat = q.weight_codes.reshape(in_c, -1)
+    cols = np.einsum("ko,nkp->nop", w_mat, codes.reshape(n, in_c, h * w))
     out_h = (h - 1) * q.stride - 2 * q.padding + k
     out_w = (w - 1) * q.stride - 2 * q.padding + k
     acc = col2im_plan(out_c, out_h, out_w, k, q.stride,
                       q.padding).apply(cols)
+    _record_matmul(tel, w_mat, acc, n, h * w)
     return _finish(acc, q.weight_scales, q.input_scale, q.bias,
                    (1, -1, 1, 1)), tel
 
@@ -80,6 +112,9 @@ def _linear_oracle(q, x):
     codes = quantize_activation(x, q.input_scale, q.activation_bits,
                                 telemetry=tel)
     acc = codes.reshape(-1, codes.shape[-1]) @ q.weight_codes.T
+    frames = x.shape[0] if x.ndim > 2 else 1
+    _record_matmul(tel, q.weight_codes, acc, frames,
+                   acc.shape[0] // frames)
     out = _finish(acc, q.weight_scales, q.input_scale, q.bias, (1, -1))
     return out.reshape(x.shape[:-1] + (-1,)), tel
 
@@ -100,48 +135,59 @@ def _check(q, x, oracle):
         got = run(Tensor(x)).data
         assert got.dtype == np.float32 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        assert q.telemetry.activations_total \
-            == expected_tel.activations_total
-        assert q.telemetry.activations_saturated \
-            == expected_tel.activations_saturated
+        assert q.telemetry == expected_tel
     q.telemetry = None
     return expected_tel
 
 
-def _conv(padding, stride, bits, bias=True):
-    layer = nn.Conv2d(3, 5, 3, stride=stride, padding=padding, bias=bias,
-                      rng=np.random.default_rng(bits + padding))
-    _prune(layer.weight.data, 1)
+def _conv(padding, stride, bits, bias=True, kernel=3, prune=True):
+    layer = nn.Conv2d(3, 5, kernel, stride=stride, padding=padding,
+                      bias=bias, rng=np.random.default_rng(bits + padding))
+    if prune:
+        _prune(layer.weight.data, 1)
     return layer
 
 
-def _deconv(padding, stride, bits):
-    layer = nn.ConvTranspose2d(3, 4, 3, stride=stride, padding=padding,
+def _deconv(padding, stride, bits, kernel=3, prune=True):
+    layer = nn.ConvTranspose2d(3, 4, kernel, stride=stride,
+                               padding=padding,
                                rng=np.random.default_rng(bits + stride))
-    _prune(layer.weight.data, 1)
+    if prune:
+        _prune(layer.weight.data, 1)
     return layer
 
 
-@pytest.mark.parametrize("padding,stride,batch,bits", CONFIGS)
-def test_conv_matches_oracle(padding, stride, batch, bits):
+def _gather_free(kernel, prune, padding, stride):
+    return (kernel, prune, padding, stride) == (1, False, 0, 1)
+
+
+@pytest.mark.parametrize("padding,stride,batch,bits,kernel,prune",
+                         _with_kernels(CONFIGS))
+def test_conv_matches_oracle(padding, stride, batch, bits, kernel, prune):
     x = _input(batch, (3, 7, 6), seed=padding * 10 + stride)
-    q = QuantizedConv2d.from_float(_conv(padding, stride, bits),
-                                   _saturating_scale(x, bits),
-                                   weight_bits=bits, activation_bits=bits)
-    assert not q._keep_cols.all()
+    q = QuantizedConv2d.from_float(
+        _conv(padding, stride, bits, kernel=kernel, prune=prune),
+        _saturating_scale(x, bits), weight_bits=bits, activation_bits=bits)
+    assert q._keep_cols.all() != prune
     tel = _check(q, x, _conv_oracle)
     assert tel.activations_saturated > 0
+    idx, _ = q._shape_plan(3, 7, 6)
+    assert (idx is None) == _gather_free(kernel, prune, padding, stride)
 
 
-@pytest.mark.parametrize("padding,stride,batch,bits", CONFIGS)
-def test_deconv_matches_oracle(padding, stride, batch, bits):
+@pytest.mark.parametrize("padding,stride,batch,bits,kernel,prune",
+                         _with_kernels(CONFIGS))
+def test_deconv_matches_oracle(padding, stride, batch, bits, kernel,
+                               prune):
     x = _input(batch, (3, 5, 6), seed=padding * 10 + stride + 1)
     q = QuantizedConvTranspose2d.from_float(
-        _deconv(padding, stride, bits), _saturating_scale(x, bits),
-        weight_bits=bits, activation_bits=bits)
-    assert not q._keep_cols.all()
+        _deconv(padding, stride, bits, kernel=kernel, prune=prune),
+        _saturating_scale(x, bits), weight_bits=bits, activation_bits=bits)
+    assert q._keep_cols.all() != prune
     tel = _check(q, x, _deconv_oracle)
     assert tel.activations_saturated > 0
+    plan = q._shape_plan(5, 6)
+    assert (plan is None) == _gather_free(kernel, prune, padding, stride)
 
 
 @pytest.mark.parametrize("batch,bits", [(1, 4), (3, 8), (3, 16)])
@@ -154,14 +200,17 @@ def test_linear_matches_oracle(batch, bits):
     _check(q, x, _linear_oracle)
 
 
-@pytest.mark.parametrize("padding,stride,batch", [(0, 1, 3), (1, 2, 1),
-                                                  (2, 1, 3)])
-def test_einsum_fallback_matches_oracle(padding, stride, batch):
+@pytest.mark.parametrize("padding,stride,batch,kernel,prune",
+                         _with_kernels([(0, 1, 3), (1, 2, 1), (2, 1, 3)]))
+def test_einsum_fallback_matches_oracle(padding, stride, batch, kernel,
+                                        prune):
     x = _input(batch, (3, 7, 6), seed=99)
-    conv = QuantizedConv2d.from_float(_conv(padding, stride, 8, bias=False),
-                                      _saturating_scale(x, 8))
+    conv = QuantizedConv2d.from_float(
+        _conv(padding, stride, 8, bias=False, kernel=kernel, prune=prune),
+        _saturating_scale(x, 8))
     deconv = QuantizedConvTranspose2d.from_float(
-        _deconv(padding, stride, 8), _saturating_scale(x, 8))
+        _deconv(padding, stride, 8, kernel=kernel, prune=prune),
+        _saturating_scale(x, 8))
     linear = QuantizedLinear.from_float(
         nn.Linear(6, 4, rng=np.random.default_rng(5)),
         _saturating_scale(x, 8))

@@ -10,6 +10,7 @@ import pytest
 from repro.core import (BlobCorruptionError, UPAQCompressor, hck_config,
                         pack_model)
 from repro.hardware import default_devices
+from repro.hardware.device import DeviceModel
 from repro.models import PointPillars
 from repro.pointcloud import (LidarConfig, SceneConfig, SceneGenerator,
                               PillarConfig)
@@ -212,6 +213,32 @@ class TestPerFrameCost:
         direct = engine.frame_cost()
         hooked = engine.frame_cost(frame_id=0)
         assert hooked[0] == pytest.approx(direct[0] * 999)
+
+    def test_frame_cost_is_priced_once_per_engine(self, jetson,
+                                                   monkeypatch):
+        """Per-frame costs read the level's cached cost split: the
+        device model prices the plan once, however many frames run."""
+        calls = []
+        layer_latency = DeviceModel.layer_latency
+
+        def counting(self, layer):
+            calls.append(layer.name)
+            return layer_latency(self, layer)
+
+        monkeypatch.setattr(DeviceModel, "layer_latency", counting)
+        cfg = SceneConfig(x_range=(5, 24), y_range=(-10, 10),
+                          lidar=LidarConfig(channels=10, azimuth_steps=80))
+        generator = SceneGenerator(cfg, seed=1)
+        stream = [generator.generate(i, with_image=False)
+                  for i in range(32)]
+        counts = []
+        for frames in (1, 32):
+            calls.clear()
+            engine = InferenceEngine(_tiny_pp(), jetson, deadline_s=10.0)
+            report = engine.run(stream[:frames])
+            assert report.ok_frames == frames
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestEmptyStream:

@@ -25,6 +25,18 @@ def test_build_parser_leaves_engine_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_build_parser_leaves_networkx_unimported():
+    # networkx is only needed to build layer graphs (compression-time
+    # grouping); the executor module and the CLI parser must not load it.
+    code = ("import sys, repro.runtime.executors, repro.cli; "
+            "repro.cli.build_parser(); print('networkx' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_star_import_dir_and_pickling_unchanged():
     namespace: dict = {}
     exec("from repro.runtime import *", namespace)
