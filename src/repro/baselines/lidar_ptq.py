@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.quantizer import quantize_to_int
+from repro.nn.module import routed
 
 from .base import CompressionFramework, register_framework
 
@@ -85,13 +86,9 @@ class LidarPTQ(CompressionFramework):
 
     def _collect_calibration(self, model, *example_inputs) -> dict:
         """Capture per-layer input activations on calibration data."""
-        from repro.nn.graph import KERNEL_LAYER_TYPES
         captured: dict[str, list] = {}
-        hooked = []
 
         def make_hook(name, module):
-            original = module.forward
-
             def wrapper(*args, **kwargs):
                 x = args[0]
                 data = x.data
@@ -100,16 +97,13 @@ class LidarPTQ(CompressionFramework):
                 else:                     # (N, F): per-feature E[x²]
                     moments = (data ** 2).mean(axis=0).reshape(-1)
                 captured.setdefault(name, []).append(moments)
-                return original(*args, **kwargs)
+                return module.forward(*args, **kwargs)
 
-            return original, wrapper
+            return wrapper
 
-        for name, module in model.named_modules():
-            if isinstance(module, KERNEL_LAYER_TYPES):
-                original, wrapper = make_hook(name, module)
-                object.__setattr__(module, "forward", wrapper)
-                hooked.append((module, original))
-        try:
+        hooks = {module: make_hook(name, module)
+                 for name, module in self._kernel_layers(model).items()}
+        with routed(hooks):
             runs = []
             if self.calibration_scenes and hasattr(model, "preprocess"):
                 runs = [model.preprocess(s) for s in self.calibration_scenes]
@@ -118,9 +112,6 @@ class LidarPTQ(CompressionFramework):
             for inputs in runs:
                 model.eval()
                 model(*inputs)
-        finally:
-            for module, original in hooked:
-                object.__setattr__(module, "forward", original)
         return {name: np.mean(np.stack(chunks), axis=0)
                 for name, chunks in captured.items()}
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.nn.graph import KERNEL_LAYER_TYPES
 from repro.nn.layers import Conv2d, ConvTranspose2d, _BatchNorm
-from repro.nn.module import Module
+from repro.nn.module import Module, routed
 
 __all__ = ["LayerProfile", "ModelProfile", "profile_model", "profiling"]
 
@@ -94,21 +94,20 @@ def _layer_kind(module: Module) -> str:
 
 @contextmanager
 def profiling(model: Module, name: str | None = None):
-    """Hook every kernel layer of ``model``; yields the filling profile.
+    """Hook every kernel and norm layer of ``model``; yields the profile.
 
-    Any forward passes run inside the ``with`` block append their
-    per-layer stats — this is how IR extraction profiles the *same*
-    forward it traces.  Hooks are removed on exit even on error.
+    Any forward passes run inside the ``with`` block, in the same
+    thread, append their per-layer stats — this is how IR extraction
+    profiles the *same* forward it traces.  The hooks run through the
+    layer-call seam (:func:`repro.nn.module.routed`), so the model is
+    never patched and other threads' forwards are not recorded.
     """
     profile = ModelProfile(model_name=name or getattr(model, "name",
                                                       type(model).__name__))
-    hooked: list[tuple[Module, object]] = []
 
     def make_hook(layer_name: str, module: Module):
-        original_forward = module.forward
-
         def hooked_forward(*args, **kwargs):
-            out = original_forward(*args, **kwargs)
+            out = module.forward(*args, **kwargs)
             x = args[0]
             x_data = getattr(x, "data", x)
             in_elems = int(np.prod(x.shape))
@@ -146,32 +145,24 @@ def profiling(model: Module, name: str | None = None):
                 if x_data.size else 0.0))
             return out
 
-        return original_forward, hooked_forward
+        return hooked_forward
 
     def make_norm_hook(module: Module):
-        original_forward = module.forward
-
         def hooked_forward(*args, **kwargs):
-            out = original_forward(*args, **kwargs)
+            out = module.forward(*args, **kwargs)
             profile.norm_output_bytes += int(np.prod(out.shape)) * 4
             return out
 
-        return original_forward, hooked_forward
+        return hooked_forward
 
+    hooks = {}
     for layer_name, module in model.named_modules():
         if isinstance(module, KERNEL_LAYER_TYPES):
-            original, wrapper = make_hook(layer_name, module)
-            object.__setattr__(module, "forward", wrapper)
-            hooked.append((module, original))
+            hooks[module] = make_hook(layer_name, module)
         elif isinstance(module, _BatchNorm):
-            original, wrapper = make_norm_hook(module)
-            object.__setattr__(module, "forward", wrapper)
-            hooked.append((module, original))
-    try:
+            hooks[module] = make_norm_hook(module)
+    with routed(hooks):
         yield profile
-    finally:
-        for module, original in hooked:
-            object.__setattr__(module, "forward", original)
 
 
 def profile_model(model: Module, *example_inputs,

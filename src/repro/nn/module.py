@@ -1,15 +1,46 @@
-"""Module base class: parameter registration, traversal, state dicts."""
+"""Module base class: parameter registration, traversal, state dicts.
+
+Every layer call goes through :meth:`Module.__call__`, which is also
+the one interception point of the repo: inside a :func:`routed` block a
+module found in the block's ``module → callable`` map runs that callable
+in place of its ``forward``.  Integer executors, profiling hooks and
+calibration observers all run this way, so no model is ever mutated to
+swap a layer's implementation, and the swap is local to the thread (or
+task) that opened the block.
+"""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Module", "Sequential", "Parameter"]
+__all__ = ["Module", "Sequential", "Parameter", "routed"]
+
+#: ``module → callable`` run in place of ``module.forward`` (see routed)
+_ROUTES: ContextVar[dict | None] = ContextVar("layer_routes", default=None)
+
+
+@contextmanager
+def routed(routes: dict["Module", Callable]):
+    """Run ``routes[module](*args)`` for each routed module called inside.
+
+    The map is context-local: other threads (and other contexts) keep
+    running the plain forwards while the block is open.  A nested block
+    lays its map over the outer one; the outer map is back on exit,
+    also when the block raises.
+    """
+    outer = _ROUTES.get()
+    token = _ROUTES.set(routes if outer is None else {**outer, **routes})
+    try:
+        yield
+    finally:
+        _ROUTES.reset(token)
 
 
 class Parameter(Tensor):
@@ -138,6 +169,11 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
+        routes = _ROUTES.get()
+        if routes is not None:
+            route = routes.get(self)
+            if route is not None:
+                return route(*args, **kwargs)
         return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:

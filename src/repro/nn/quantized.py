@@ -25,12 +25,14 @@ Two guarantees make the executors testable:
   ``execution="lowered"`` runtime asserts against
   ``execution="reference"``.
 
-Each executor carries an opt-in ``telemetry`` slot (a
-:class:`repro.runtime.telemetry.LayerTelemetry`); when set, the shared
-``_accumulate`` core counts executed MACs, skipped vs. total columns,
-activation saturation, and the accumulator extrema.  Counters only
-observe values both paths already compute, so attaching them cannot
-perturb either guarantee (see ``docs/OBSERVABILITY.md``).
+Every executor call takes an opt-in ``telemetry`` counter (a
+:class:`repro.runtime.telemetry.LayerTelemetry`, keyword-only, per
+call); when given, the shared ``_accumulate`` core counts executed
+MACs, skipped vs. total columns, activation saturation, and the
+accumulator extrema.  Counters only observe values both paths already
+compute, so passing one cannot perturb either guarantee (see
+``docs/OBSERVABILITY.md``).  Executors hold no per-run state, so any
+number of threads may call one executor at once.
 
 Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
 
@@ -208,8 +210,6 @@ class QuantizedConv2d(Module):
         self.padding = padding
         self.input_scale = float(input_scale)
         self.activation_bits = activation_bits
-        #: opt-in counter slot (LayerTelemetry); never touches outputs
-        self.telemetry = None
         # Columns of the (out_c, in_c·k·k) weight matrix where *every*
         # filter is zero — the positions pattern pruning blanked in all
         # kernels of an input channel.  Skipped exactly (zero columns
@@ -279,7 +279,8 @@ class QuantizedConv2d(Module):
                                conv.stride, conv.padding, input_scale,
                                activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype) -> np.ndarray:
+    def _accumulate(self, data: np.ndarray, dtype,
+                    telemetry=None) -> np.ndarray:
         """Shared core: quantize into the padded buffer → gather kept
         columns → one matmul.
 
@@ -294,7 +295,6 @@ class QuantizedConv2d(Module):
         """
         n, c, h, w = data.shape
         out_c = self.weight_codes.shape[0]
-        telemetry = self.telemetry
         idx, geometry = self._shape_plan(c, h, w)
         int_work = not self._use_gemm and np.dtype(dtype) == np.int64
         p = self.padding
@@ -344,17 +344,19 @@ class QuantizedConv2d(Module):
             out += 0.0
         return Tensor(out.astype(np.float32))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
         data = _as_array(x)
         # The integer core: exact accumulation of the int64 codes (via
         # the certified gemm when the bound holds), exactly as a
         # deployment engine's INT8 MACs with a 32/64-bit accumulator.
-        return self._finish(self._accumulate(data, np.int64), data.shape)
+        return self._finish(self._accumulate(data, np.int64, telemetry),
+                            data.shape)
 
-    def reference(self, x: Tensor) -> Tensor:
+    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
         """Float-semantics twin: float64 accumulate, identical rescale."""
         data = _as_array(x)
-        return self._finish(self._accumulate(data, np.float64), data.shape)
+        return self._finish(self._accumulate(data, np.float64, telemetry),
+                            data.shape)
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """The float32 training-side view: dequantized weights convolved
@@ -398,8 +400,6 @@ class QuantizedConvTranspose2d(Module):
         self.padding = padding
         self.input_scale = float(input_scale)
         self.activation_bits = activation_bits
-        #: opt-in counter slot (LayerTelemetry); never touches outputs
-        self.telemetry = None
         in_c = self.weight_codes.shape[0]
         w_mat = self.weight_codes.reshape(in_c, -1)
         # Scatter columns (out-channel, ki, kj) that no input channel
@@ -464,10 +464,10 @@ class QuantizedConvTranspose2d(Module):
                                         deconv.padding, input_scale,
                                         activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype) -> np.ndarray:
+    def _accumulate(self, data: np.ndarray, dtype,
+                    telemetry=None) -> np.ndarray:
         n, c, h, w = data.shape
         in_c = self.weight_codes.shape[0]
-        telemetry = self.telemetry
         int_work = not self._use_gemm and np.dtype(dtype) == np.int64
         x_codes = _quantize_into(
             data, self.input_scale, self.activation_bits,
@@ -504,12 +504,14 @@ class QuantizedConvTranspose2d(Module):
             out += 0.0
         return Tensor(out.astype(np.float32))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self._finish(self._accumulate(_as_array(x), np.int64))
+    def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
+        return self._finish(
+            self._accumulate(_as_array(x), np.int64, telemetry))
 
-    def reference(self, x: Tensor) -> Tensor:
+    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
         """Float-semantics twin: float64 accumulate, identical rescale."""
-        return self._finish(self._accumulate(_as_array(x), np.float64))
+        return self._finish(
+            self._accumulate(_as_array(x), np.float64, telemetry))
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """Float32 view via the normal deconvolution pipeline."""
@@ -548,8 +550,6 @@ class QuantizedLinear(Module):
         self.bias = None if bias is None else bias.astype(np.float64)
         self.input_scale = float(input_scale)
         self.activation_bits = activation_bits
-        #: opt-in counter slot (LayerTelemetry); never touches outputs
-        self.telemetry = None
         self._keep_cols = np.any(self.weight_codes != 0, axis=0)
         self._compact()
 
@@ -576,10 +576,10 @@ class QuantizedLinear(Module):
         return QuantizedLinear(codes, scales, bias, input_scale,
                                activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype) -> np.ndarray:
+    def _accumulate(self, data: np.ndarray, dtype,
+                    telemetry=None) -> np.ndarray:
         in_features = self.weight_codes.shape[1]
         out_features = self.weight_codes.shape[0]
-        telemetry = self.telemetry
         use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
         x_codes = _quantize_into(
             data, self.input_scale, self.activation_bits,
@@ -616,14 +616,16 @@ class QuantizedLinear(Module):
         out_shape = input_shape[:-1] + (self.weight_codes.shape[0],)
         return Tensor(out.reshape(out_shape).astype(np.float32))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
         data = _as_array(x)
-        return self._finish(self._accumulate(data, np.int64), data.shape)
+        return self._finish(self._accumulate(data, np.int64, telemetry),
+                            data.shape)
 
-    def reference(self, x: Tensor) -> Tensor:
+    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
         """Float-semantics twin: float64 accumulate, identical rescale."""
         data = _as_array(x)
-        return self._finish(self._accumulate(data, np.float64), data.shape)
+        return self._finish(self._accumulate(data, np.float64, telemetry),
+                            data.shape)
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """Float32 view via the normal affine pipeline."""

@@ -509,9 +509,9 @@ class InferenceEngine:
         :meth:`StreamReport.top_offenders` can name the layers behind
         deadline misses.  Off by default (zero cost when off).
     telemetry:
-        When true, attach per-layer
-        :class:`~repro.runtime.telemetry.LayerTelemetry` counters to
-        the lowered executors; the finished
+        When true, count per-layer
+        :class:`~repro.runtime.telemetry.LayerTelemetry` into the
+        engine's collector map (the program's default map); the finished
         :class:`StreamReport.telemetry` carries snapshots and
         ``summary()`` gains a one-line digest.  Strictly opt-in and
         observation-only — the lowered ≡ reference bit-for-bit parity
@@ -701,33 +701,18 @@ class InferenceEngine:
                         collectors=None) -> list[DetectionResult]:
         """One micro-batch through a specific level's program.
 
-        ``collectors`` names the telemetry store the window should
-        count into: the engine's own long-lived collectors need no
-        work (they are attached at program build when the engine was
-        constructed with ``telemetry=True``), while a session-owned
-        store is swapped in around the window and the engine's state
-        restored after — this is how concurrent serving streams keep
-        per-stream counters without sharing them.  Swapping mutates
-        the program's executor slots, so callers running windows
-        concurrently must serialize per program (the serving scheduler
-        leases one window per program replica at a time).
+        ``collectors`` names the telemetry store the window counts
+        into; ``None`` counts into the program's default map (the
+        engine's own long-lived collectors when it was constructed with
+        ``telemetry=True``).  The map travels with the window's call
+        (:meth:`LoweredProgram.attached`), not in the program, so
+        concurrent serving streams each count into their own map and
+        any number of windows may run through one program at once.
         """
         if not scenes:
             return []
-        program = self._level_program(level)
-        model = level.rung.model
-        base = self._collectors if self.telemetry else None
-        swap = collectors is not None and collectors is not base
-        if swap:
-            program.enable_telemetry(collectors)
-        try:
-            return program.predict_window(model, scenes)
-        finally:
-            if swap:
-                if base is not None:
-                    program.enable_telemetry(base)
-                else:
-                    program.disable_telemetry()
+        return self._level_program(level).predict_window(
+            level.rung.model, scenes, telemetry=collectors)
 
     @property
     def on_fallback(self) -> bool:

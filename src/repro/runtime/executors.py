@@ -1,11 +1,15 @@
-"""Binding lowered integer executors to a live model forward pass.
+"""Running lowered integer executors in place of a model's kernel layers.
 
 :func:`repro.ir.lowering.lower_executors` compiles a compressed
 :class:`~repro.ir.ModelIR` into per-layer integer executors;
-:class:`LoweredProgram` is the runtime object that owns them and swaps
-them into the model's kernel layers for the duration of a forward pass
-(the same ``object.__setattr__`` patching discipline the profiler
-uses — no model surgery, fully reversible, exception-safe).
+:class:`LoweredProgram` is the runtime object that owns them and routes
+the model's kernel layers to them for the duration of a forward pass.
+The routing goes through the layer-call seam
+(:func:`repro.nn.module.routed`): inside :meth:`LoweredProgram.attached`
+a call to a routed layer runs its executor instead of its float
+forward, in the calling thread only.  Neither the model nor the
+executors change, so any number of threads can run one model under
+different programs (or under one program) at once.
 
 The program runs in one of two modes sharing the same executors:
 
@@ -16,44 +20,26 @@ Both modes are bit-for-bit identical after the final rescale (see
 :mod:`repro.nn.quantized`), which is what lets the engine's parity
 tests compare whole detection outputs with ``==``.
 
-The program also owns the per-layer telemetry collectors
-(:meth:`LoweredProgram.enable_telemetry`): one
-:class:`~repro.runtime.telemetry.LayerTelemetry` per executor, strictly
-opt-in, populated by the executors while they run.
+Per-layer telemetry is per call and strictly opt-in: a routed layer
+hands its executor the counter for its name from the ``layer name →``
+:class:`~repro.runtime.telemetry.LayerTelemetry` map of the block —
+the map passed to :meth:`LoweredProgram.attached`, else the program's
+default map (:meth:`LoweredProgram.enable_telemetry`).
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from contextlib import contextmanager
+from functools import partial
 
 from repro.nn.graph import layer_map
-from repro.nn.layers import Conv2d, ConvTranspose2d, Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, routed
 
-from .telemetry import LayerTelemetry, telemetry_digest
+from .telemetry import LayerTelemetry
 
 __all__ = ["LoweredProgram", "EXECUTION_MODES"]
 
 EXECUTION_MODES = ("reference", "lowered")
-
-# One re-entrant lock per model object, shared by every program that
-# attaches to it: patching rewrites the *model's* ``forward`` slots, so
-# exclusion must be per model, not per program.  The locks live here,
-# not on the model, so models still pickle (process replicas) and
-# deep-copy; weak keys let a model and its lock be collected together.
-_MODEL_LOCKS: "weakref.WeakKeyDictionary[Module, threading.RLock]" = \
-    weakref.WeakKeyDictionary()
-_MODEL_LOCKS_GUARD = threading.Lock()
-
-
-def _model_lock(model: Module) -> threading.RLock:
-    with _MODEL_LOCKS_GUARD:
-        lock = _MODEL_LOCKS.get(model)
-        if lock is None:
-            lock = _MODEL_LOCKS[model] = threading.RLock()
-        return lock
 
 
 class LoweredProgram:
@@ -68,8 +54,8 @@ class LoweredProgram:
         ``"lowered"`` runs the integer path, ``"reference"`` the
         float64 fake-quant reference path of the same executors.
     telemetry:
-        When true, attach a per-layer counter to every executor on
-        construction (equivalent to calling :meth:`enable_telemetry`).
+        When true, start with a default collector map (equivalent to
+        calling :meth:`enable_telemetry`).
     """
 
     def __init__(self, executors: dict[str, Module],
@@ -79,128 +65,104 @@ class LoweredProgram:
                              f"expected one of {EXECUTION_MODES}")
         self.executors = dict(executors)
         self.mode = mode
-        #: ``layer name → LayerTelemetry`` — empty until telemetry is
-        #: enabled; the counters are live objects the executors update.
+        #: default ``layer name → LayerTelemetry`` map a block counts
+        #: into when it is given none; empty while telemetry is off
         self.telemetry: dict[str, LayerTelemetry] = {}
-        # Attachment mutates the executors' telemetry slots, so a
-        # program shared by several workers is attached by one at a
-        # time (the model's own lock, taken after this one, guards its
-        # forward slots).  Re-entrant so one thread may enable
-        # telemetry around its own attachment.
-        self._attach_lock = threading.RLock()
+        #: ``(model, routes, names, covers)`` for the last model bound,
+        #: so the ``layer_map`` walk runs once per program/model pair
+        self._binding: tuple | None = None
         if telemetry:
             self.enable_telemetry()
 
     def __len__(self) -> int:
         return len(self.executors)
 
-    # ------------------------------------------------------------------
-    # Pickling (process-backed serving replicas)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Everything but the attach lock, which is process-local."""
-        state = dict(self.__dict__)
-        del state["_attach_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._attach_lock = threading.RLock()
-
     @property
     def layer_names(self) -> list[str]:
         return list(self.executors)
 
     # ------------------------------------------------------------------
-    # Telemetry ownership
+    # Telemetry
     # ------------------------------------------------------------------
+    def _filled(self, store: dict[str, LayerTelemetry]) \
+            -> dict[str, LayerTelemetry]:
+        """``store`` with a counter for every executor (missing ones
+        created; ``setdefault`` keeps racing fillers on one counter)."""
+        for name in self.executors:
+            if name not in store:
+                store.setdefault(name, LayerTelemetry(layer=name))
+        return store
+
     def enable_telemetry(self, collectors: dict[str, LayerTelemetry]
                          | None = None) -> dict[str, LayerTelemetry]:
-        """Attach one counter per executor; returns the collector map.
+        """Set the default collector map; returns it.
 
         ``collectors`` lets a caller (the engine) supply a long-lived
         map so counters survive the program being re-lowered — e.g.
         across a watchdog fallback swap; missing entries are created.
-        Telemetry is strictly opt-in: until this is called, executors
-        carry ``telemetry = None`` and count nothing.
+        Telemetry is strictly opt-in: until this is called (or a block
+        is given its own map), executors count nothing.
         """
-        with self._attach_lock:
-            store = self.telemetry if collectors is None else collectors
-            for name, executor in self.executors.items():
-                counter = store.get(name)
-                if counter is None:
-                    counter = LayerTelemetry(layer=name)
-                    store[name] = counter
-                object.__setattr__(executor, "telemetry", counter)
-            self.telemetry = store
-            return store
+        store = self.telemetry if collectors is None else collectors
+        self.telemetry = self._filled(store)
+        return self.telemetry
 
     def disable_telemetry(self) -> None:
-        """Detach counters from the executors (the map is kept)."""
-        with self._attach_lock:
-            for executor in self.executors.values():
-                object.__setattr__(executor, "telemetry", None)
+        """Clear the default collector map (its counters are untouched)."""
+        self.telemetry = {}
 
-    def reset_telemetry(self) -> None:
-        for counter in self.telemetry.values():
-            counter.reset()
-
-    def telemetry_summary(self) -> str:
-        """One-line digest of the attached counters."""
-        if not self.telemetry:
-            return "telemetry: disabled"
-        return telemetry_digest(self.telemetry)
-
+    # ------------------------------------------------------------------
+    # Routing
     # ------------------------------------------------------------------
     def _run_fn(self, executor: Module):
         if self.mode == "reference":
             return executor.reference
         return executor.forward
 
-    @contextmanager
-    def attached(self, model: Module):
-        """Patch ``model``'s layers to run through the executors.
+    def _bind(self, model: Module) -> tuple:
+        """``(model, routes, names, covers)`` for ``model``, cached.
 
-        Layers without an executor (unquantized, or absent from the
-        IR) keep their float forward.  Original forwards are restored
-        on exit even when inference raises.  Restoration walks the
-        patch list in *reverse* order: when two IR names resolve to the
-        same shared module, the second patch captured the first
-        ``routed`` as its "original", and only a LIFO unwind puts the
-        true original back.  Patched forwards pass every argument
-        through to the executor, so a call the executor cannot satisfy
-        fails loudly instead of silently dropping arguments.
-
-        Attachment is exclusive per program *and* per model: the block
-        holds the program's attach lock (which also guards its
-        telemetry slots), then the model's lock, always in that order.
-        The model lock is what keeps two programs over one shared model
-        — two serving replicas built from one model object — from
-        interleaving their patches: without it one could restore the
-        float forwards, or leave its ``routed`` installed, while the
-        other is mid-window.  Windows over a shared model therefore
-        run one at a time; parallelism needs a model per replica.
+        ``routes`` maps each kernel layer with an executor to the
+        executor's run function, ``names`` maps it to its layer name.
+        When two layer names resolve to one shared module, the later
+        name's executor runs it.
         """
-        with self._attach_lock, _model_lock(model):
+        binding = self._binding
+        if binding is None or binding[0] is not model:
             layers = layer_map(model)
-            patched: list[tuple[Module, object]] = []
-            for name, executor in self.executors.items():
-                module = layers.get(name)
-                if module is None:
-                    continue
-                original = module.forward
-                run = self._run_fn(executor)
+            names = {layers[name]: name
+                     for name in self.executors if name in layers}
+            routes = {module: self._run_fn(self.executors[name])
+                      for module, name in names.items()}
+            covers = bool(self.executors) \
+                and all(name in self.executors for name in layers)
+            binding = self._binding = (model, routes, names, covers)
+        return binding
 
-                def routed(*args, _run=run, **kwargs):
-                    return _run(*args, **kwargs)
+    @contextmanager
+    def attached(self, model: Module,
+                 telemetry: dict[str, LayerTelemetry] | None = None):
+        """Run ``model``'s kernel layers through the executors.
 
-                object.__setattr__(module, "forward", routed)
-                patched.append((module, original))
-            try:
-                yield model
-            finally:
-                for module, original in reversed(patched):
-                    object.__setattr__(module, "forward", original)
+        Inside the block, calling a layer that has an executor runs the
+        executor; layers without one (unquantized, or absent from the
+        IR) keep their float forward.  The routing is local to the
+        calling thread and ends with the block, also when inference
+        raises.  Every argument of the layer call is passed to the
+        executor, so a call the executor cannot satisfy fails loudly.
+
+        ``telemetry`` is the ``layer name → LayerTelemetry`` map this
+        block counts into (missing entries are created); ``None``
+        counts into the program's default map, if any.
+        """
+        _, routes, names, _ = self._bind(model)
+        store = self.telemetry if telemetry is None \
+            else self._filled(telemetry)
+        if store:
+            routes = {module: partial(run, telemetry=store[names[module]])
+                      for module, run in routes.items()}
+        with routed(routes):
+            yield model
 
     def covers_kernels(self, model: Module) -> bool:
         """Whether every kernel layer of ``model`` has an executor.
@@ -212,25 +174,23 @@ class LoweredProgram:
         (BN eval, activations, pooling, upsampling) are per-sample and
         always safe.
         """
-        if not self.executors:
-            return False
-        kernel_types = (Conv2d, ConvTranspose2d, Linear)
-        return all(name in self.executors
-                   for name, module in layer_map(model).items()
-                   if isinstance(module, kernel_types))
+        return self._bind(model)[3]
 
-    def predict_window(self, model: Module, scenes) -> list:
+    def predict_window(self, model: Module, scenes,
+                       telemetry: dict[str, LayerTelemetry] | None = None
+                       ) -> list:
         """Run a micro-batch window of scenes through ``model``.
 
         Uses the model's batched trunk (:meth:`Detector3D.predict_batch`)
         with the executors attached when batching is certified exact
         (:meth:`covers_kernels`); otherwise falls back to sequential
         single-frame predicts, which define the semantics either way.
+        ``telemetry`` is passed to :meth:`attached`.
         """
         scenes = list(scenes)
         if not self.executors:
             return [model.predict(scene) for scene in scenes]
-        with self.attached(model):
+        with self.attached(model, telemetry):
             if len(scenes) > 1 and self.covers_kernels(model):
                 return model.predict_batch(scenes)
             return [model.predict(scene) for scene in scenes]

@@ -70,10 +70,13 @@ fill.
 
 Thread-safety contract with the layers below: the geometry/plan caches
 (:mod:`repro.nn.functional`, :mod:`repro.nn.quantized`) and telemetry
-counters (:mod:`repro.runtime.telemetry`) are lock-protected, program
-attachment is exclusive per replica
-(:meth:`~repro.runtime.executors.LoweredProgram.attached`) — see
-``docs/SERVING.md``.
+counters (:mod:`repro.runtime.telemetry`) are lock-protected, and
+program attachment
+(:meth:`~repro.runtime.executors.LoweredProgram.attached`) routes
+layers through a context-local map without mutating the model, the
+program or its executors, with each window's telemetry map passed per
+call — so any number of windows may run over one model at once (see
+``docs/SERVING.md``).
 """
 
 from __future__ import annotations
@@ -536,8 +539,8 @@ class ServingEngine:
         injector, execution mode and ``batch_size`` become the
         defaults every stream inherits), or a zero-argument factory
         returning identical engines — the thread backend requires a
-        factory for ``replicas > 1``, since concurrent windows need
-        separate model instances to attach to (the process backend
+        factory for ``replicas > 1``, one engine per replica slot
+        (the process backend
         accepts an instance at any replica count: workers build their
         own from the spec).  Engines must be constructed with
         ``telemetry=False``: per-stream telemetry flows through
@@ -626,10 +629,7 @@ class ServingEngine:
                 # pool refused to come up) — build the replicas
                 # locally and serve on threads instead of failing.
                 # Each replica comes from a pickle round-trip of the
-                # spec, exactly as a worker process would build it, so
-                # replicas never share mutable model objects with the
-                # parent (thread windows patch their model's forward
-                # slots and must own them exclusively).
+                # spec, exactly as a worker process would build it.
                 self._backend = "thread"
                 pool = [primary] + [
                     pickle.loads(self._spec_bytes).build()
@@ -638,8 +638,8 @@ class ServingEngine:
             if replicas != 1:
                 raise ValueError(
                     "replicas > 1 needs an engine factory on the thread "
-                    "backend — concurrent windows attach to separate "
-                    "model instances (or use backend='process')")
+                    "backend — one engine per replica slot "
+                    "(or use backend='process')")
             pool = [engine]
         else:
             pool = [engine() for _ in range(replicas)]
@@ -1158,8 +1158,9 @@ class ServingEngine:
             except BaseException as exc:
                 return exc, None, "local"
         # Local fallback: the scheduler's own engine runs the window in
-        # this worker thread (program attachment serializes engine
-        # access, so concurrent fallbacks are safe, just unparallel).
+        # this worker thread.  Concurrent fallbacks may run on that one
+        # engine at once: attachment never mutates the model or the
+        # program, and each window counts into its own collector map.
         collectors: dict | None = {} if window.want_telemetry else None
         results = self._engine._window_results(
             self._engine._levels[window.rung], scenes,

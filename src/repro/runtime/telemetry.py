@@ -52,11 +52,11 @@ JITTER_LAYER = "fault_jitter"
 class LayerTelemetry:
     """Execution counters for one lowered layer.
 
-    Populated by the :mod:`repro.nn.quantized` executors when attached
-    (``executor.telemetry = counter``); all fields accumulate across
-    forward calls until :meth:`reset`.
+    Populated by the :mod:`repro.nn.quantized` executors when passed
+    per call (``executor.forward(x, telemetry=counter)``); all fields
+    accumulate across forward calls until :meth:`reset`.
 
-    Recording is thread-safe: a counter may be attached to executors
+    Recording is thread-safe: one counter may be passed to executors
     driven by concurrent serving workers, so every ``record_*`` /
     :meth:`reset` / :meth:`snapshot` runs under an internal lock (a
     plain attribute set in ``__post_init__`` — not a dataclass field,

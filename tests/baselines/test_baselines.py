@@ -141,6 +141,10 @@ class TestLidarPTQ:
     def test_no_pruning(self, model):
         report = LidarPTQ().compress(model, *model.example_inputs())
         assert report.overall_sparsity < 0.05
+        # Calibration observes through the layer-call seam: no module
+        # of either model is left with an instance ``forward``.
+        for net in (model, report.model):
+            assert all("forward" not in vars(m) for m in net.modules())
 
     def test_boundary_layers_high_precision(self, model):
         report = LidarPTQ(bits=8, boundary_bits=16).compress(

@@ -1,5 +1,7 @@
 """Tests for profiling, deployment plans and the device models."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.hardware import (CompressionMeta, DeviceModel, EnergyMeter,
                             JETSON_ORIN_NANO, RTX_4080, annotate_layer,
                             compile_model, default_devices, get_annotation,
                             profile_model)
+from repro.hardware.profile import profiling
 from repro.nn import Tensor
 
 
@@ -53,6 +56,29 @@ class TestProfile:
         profile_model(simple_model, example_input)
         out = simple_model(example_input)  # must not re-record
         assert out.shape == (1, 4, 16, 16)
+
+    def test_profiling_is_context_local(self, simple_model, example_input):
+        """A forward on another thread while ``profiling`` is open in
+        this one is not recorded, and no module is patched."""
+        inside, done = threading.Event(), threading.Event()
+
+        def other_thread():
+            inside.wait(10)
+            simple_model(example_input)
+            done.set()
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        with profiling(simple_model) as profile:
+            inside.set()
+            assert done.wait(10)
+            assert profile.layers == []
+            assert all("forward" not in vars(m)
+                       for m in simple_model.modules())
+            simple_model(example_input)
+        thread.join(10)
+        assert [layer.name for layer in profile.layers] == ["0", "2"]
+        assert all("forward" not in vars(m) for m in simple_model.modules())
 
     def test_total_macs_sums(self, simple_model, example_input):
         profile = profile_model(simple_model, example_input)

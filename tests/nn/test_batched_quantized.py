@@ -111,14 +111,11 @@ class TestBatchedTelemetrySums:
         frames = frames[:batch]
 
         sequential = LayerTelemetry(layer="seq")
-        executor.telemetry = sequential
         for frame in frames:
-            executor.forward(frame)
+            executor.forward(frame, telemetry=sequential)
 
         batched = LayerTelemetry(layer="bat")
-        executor.telemetry = batched
-        executor.forward(_stack(frames))
-        executor.telemetry = None
+        executor.forward(_stack(frames), telemetry=batched)
 
         assert batched.calls == sequential.calls == batch
         assert batched.macs == sequential.macs

@@ -176,8 +176,8 @@ def test_telemetry_counters_exact_under_threads():
 
 
 def test_shared_lowered_program_bit_identical_under_threads():
-    """Two threads pushing frames through one shared LoweredProgram
-    (attachment is exclusive per program) reproduce solo bits."""
+    """Two threads pushing frames through one shared LoweredProgram,
+    both attached to one model at once, reproduce solo bits."""
     from repro.core import UPAQCompressor
     from repro.fuzzing import build_fuzz_model, build_preset_config
     from repro.ir.lowering import lower_executors

@@ -131,12 +131,11 @@ def _prune(weight, axis_in):
 def _check(q, x, oracle):
     expected, expected_tel = oracle(q, x)
     for run in (q.forward, q.reference):
-        q.telemetry = LayerTelemetry()
-        got = run(Tensor(x)).data
+        telemetry = LayerTelemetry()
+        got = run(Tensor(x), telemetry=telemetry).data
         assert got.dtype == np.float32 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        assert q.telemetry == expected_tel
-    q.telemetry = None
+        assert telemetry == expected_tel
     return expected_tel
 
 

@@ -1,20 +1,24 @@
-"""Regression tests for LoweredProgram's forward patching.
+"""Regression tests for LoweredProgram's layer routing.
 
-Three bugs are pinned here:
+A program routes the model's kernel layers to its executors through the
+layer-call seam in ``Module.__call__`` (:func:`repro.nn.module.routed`),
+never by patching the model.  Pinned here:
 
-* restore order — when two IR names resolve to the *same* shared
-  module, the second patch captures the first ``routed`` as its
-  "original"; restoring in insertion order left the module permanently
-  patched (same shape as the TiedLeafNet dedup fix in the search).
-* argument forwarding — ``routed`` used to silently discard extra
-  positional args and all kwargs, changing the patched layer's call
-  semantics instead of failing loudly.
-* shared-model interleaving — two programs over one model used to
-  exclude each other only per program, so one could patch (or restore)
-  the model's forwards while the other was mid-attachment.
-
+* never mutated — no module of the model gains an instance ``forward``
+  during or after attachment, also when the block raises and when one
+  module is reachable under two layer names (the case whose restore
+  order once left a module permanently patched);
+* argument forwarding — every argument of the layer call reaches the
+  executor, so a call the executor cannot satisfy fails loudly instead
+  of silently dropping arguments;
+* shared-model programs — two programs attached to one model object at
+  the same time each see their own executor's output, with no lock
+  between them;
+* binding — the ``layer_map`` walk runs once per program/model pair,
+  and a bound program still pickles.
 """
 
+import pickle
 import sys
 import threading
 
@@ -23,7 +27,8 @@ import pytest
 
 from repro import nn
 from repro.nn.graph import layer_map
-from repro.nn.quantized import QuantizedConv2d, activation_scale
+from repro.nn.quantized import (QuantizedConv2d, QuantizedLinear,
+                                activation_scale)
 from repro.nn.tensor import Tensor
 from repro.runtime import LoweredProgram
 
@@ -63,6 +68,12 @@ def _program_for(model, weight_bits=8):
     return layers, LoweredProgram(executors)
 
 
+def _instance_forwards(model) -> list[str]:
+    """Names of the model's modules that carry an instance ``forward``."""
+    return [name for name, module in model.named_modules()
+            if "forward" in vars(module)]
+
+
 class TestSharedModuleRestore:
     def test_two_names_one_module(self):
         model = SharedConvNet()
@@ -71,47 +82,50 @@ class TestSharedModuleRestore:
 
     @staticmethod
     def _runs_class_forward(module) -> bool:
-        """True iff calling ``module.forward`` runs ``Conv2d.forward``.
-
-        Identity on the bound-method *object* is too strict (every
-        attribute access builds a fresh bound method); what must hold
-        after detach is that the attribute resolves back to the class's
-        forward — not to a leaked ``routed`` wrapper, which is a plain
-        function with no ``__func__``.
-        """
+        """True iff ``module.forward`` resolves to ``Conv2d.forward``."""
         return getattr(module.forward, "__func__", None) \
             is nn.Conv2d.forward
 
-    def test_restore_order_with_shared_module(self):
-        """The headline regression: a module patched under two names
-        must come back with its true original forward, not the first
-        patch's ``routed`` wrapper."""
+    def test_shared_module_never_mutated(self):
+        """A module reachable under two names runs the later name's
+        executor inside the block and is never patched."""
         model = SharedConvNet()
-        layers, program = _program_for(model)
+        layers, program = _program_for(model, weight_bits=4)
         conv = layers["trunk"]
-        assert self._runs_class_forward(conv)
+        x = _input()
         with program.attached(model):
-            assert not self._runs_class_forward(conv)
-        assert self._runs_class_forward(conv)
+            assert _instance_forwards(model) == []
+            assert self._runs_class_forward(conv)
+            routed = conv(x).data
+        np.testing.assert_array_equal(
+            routed, program.executors["alias"].forward(x).data)
+        assert _instance_forwards(model) == []
+        np.testing.assert_array_equal(conv(x).data, conv.forward(x).data)
 
-    def test_restore_order_on_exception(self):
+    def test_never_mutated_on_exception(self):
         model = SharedConvNet()
         layers, program = _program_for(model)
         conv = layers["trunk"]
+        x = _input()
         with pytest.raises(RuntimeError):
             with program.attached(model):
                 raise RuntimeError("inference blew up")
+        assert _instance_forwards(model) == []
         assert self._runs_class_forward(conv)
+        np.testing.assert_array_equal(conv(x).data, conv.forward(x).data)
 
     def test_repeated_attach_stays_reversible(self):
-        """Attach/detach twice — a leaked patch would compound."""
+        """Attach/detach twice — a leaked route would compound."""
         model = SharedConvNet()
         layers, program = _program_for(model)
         conv = layers["trunk"]
+        x = _input()
         for _ in range(2):
             with program.attached(model):
                 pass
-            assert self._runs_class_forward(conv)
+            assert _instance_forwards(model) == []
+            np.testing.assert_array_equal(conv(x).data,
+                                          conv.forward(x).data)
 
     def test_model_output_unchanged_after_detach(self):
         model = SharedConvNet()
@@ -130,7 +144,7 @@ class TestRoutedArgumentForwarding:
         model = SharedConvNet()
         layers, program = _program_for(model)
         with program.attached(model):
-            out = layers["trunk"].forward(_input())
+            out = layers["trunk"](_input())
         assert out.data.shape == (1, 3, 6, 6)
 
     def test_unexpected_kwarg_raises(self):
@@ -140,68 +154,54 @@ class TestRoutedArgumentForwarding:
         layers, program = _program_for(model)
         with program.attached(model):
             with pytest.raises(TypeError):
-                layers["trunk"].forward(_input(), training=True)
+                layers["trunk"](_input(), training=True)
 
     def test_extra_positional_raises(self):
         model = SharedConvNet()
         layers, program = _program_for(model)
         with program.attached(model):
             with pytest.raises(TypeError):
-                layers["trunk"].forward(_input(), _input())
+                layers["trunk"](_input(), _input())
 
 
 class TestSharedModelPrograms:
     """Two programs (e.g. two serving replicas) over one model object."""
 
-    @staticmethod
-    def _installed(module):
-        """The executor a patched ``routed`` forward runs, else None."""
-        run = (getattr(module.forward, "__kwdefaults__", None) or {}).get("_run")
-        return getattr(run, "__self__", None)
-
-    def test_second_program_waits_for_first(self):
+    def test_two_programs_inside_at_once(self):
+        """Both programs are inside ``attached(model)`` together, and
+        each thread's forward runs its own program's executors."""
         model = SharedConvNet()
-        conv = layer_map(model)["trunk"]
-        _, program_a = _program_for(model)
-        _, program_b = _program_for(model)
-        a_inside, a_release = threading.Event(), threading.Event()
-        b_inside, b_release = threading.Event(), threading.Event()
-        seen_by_a, seen_by_b = [], []
+        model.eval()
+        x = _input()
+        programs = [_program_for(model, bits)[1] for bits in (4, 8)]
+        expected = []
+        for program in programs:
+            with program.attached(model):
+                expected.append(model.forward(x).data.copy())
+        assert not np.array_equal(expected[0], expected[1])
+        inside = [threading.Event(), threading.Event()]
+        seen = [None, None]
 
-        def run_a():
-            with program_a.attached(model):
-                a_inside.set()
-                a_release.wait(10)
-                seen_by_a.append(self._installed(conv))
+        def run(k):
+            with programs[k].attached(model):
+                inside[k].set()
+                # Waits for the other program to be inside too; a
+                # program that excluded the other would time out here.
+                both = inside[1 - k].wait(5)
+                seen[k] = (both, model.forward(x).data.copy())
 
-        def run_b():
-            a_inside.wait(10)
-            with program_b.attached(model):
-                b_inside.set()
-                b_release.wait(10)
-                seen_by_b.append(self._installed(conv))
-
-        threads = [threading.Thread(target=run_a),
-                   threading.Thread(target=run_b)]
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        threads[0].start()
+        assert inside[0].wait(10)
+        threads[1].start()
         for thread in threads:
-            thread.start()
-        try:
-            assert a_inside.wait(10)
-            # B is started and asks for the model while A holds it: it
-            # must not get in (nor patch anything) until A exits.
-            assert not b_inside.wait(0.5)
-            assert self._installed(conv) is program_a.executors["alias"]
-            a_release.set()
-            threads[0].join(10)
-            assert b_inside.wait(10)
-        finally:
-            a_release.set()
-            b_release.set()
-            for thread in threads:
-                thread.join(10)
-        assert seen_by_a == [program_a.executors["alias"]]
-        assert seen_by_b == [program_b.executors["alias"]]
-        assert TestSharedModuleRestore._runs_class_forward(conv)
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in (0, 1):
+            both, out = seen[k]
+            assert both, f"program {k} never saw the other inside"
+            np.testing.assert_array_equal(out, expected[k])
+        assert _instance_forwards(model) == []
 
     def test_stress_many_programs_one_model(self):
         """More threads than cores, each attaching its own program to one
@@ -240,3 +240,43 @@ class TestSharedModelPrograms:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
         assert TestSharedModuleRestore._runs_class_forward(conv)
+
+
+class TestBinding:
+    def test_layer_map_walked_once_per_model(self, monkeypatch):
+        import repro.runtime.executors as executors_module
+        walks = []
+        walk = executors_module.layer_map
+
+        def counting(model):
+            walks.append(model)
+            return walk(model)
+
+        monkeypatch.setattr(executors_module, "layer_map", counting)
+        model, other = SharedConvNet(), SharedConvNet()
+        _, program = _program_for(model)
+        for _ in range(3):
+            with program.attached(model):
+                pass
+            assert program.covers_kernels(model)
+        assert walks == [model]
+        with program.attached(other):
+            pass
+        assert walks == [model, other]
+
+    def test_bound_program_pickles(self):
+        """Pickled with its model, a bound program routes the copy.
+
+        Linear executors hold no plan-cache lock, so they pickle."""
+        model = nn.Sequential(nn.Linear(4, 3, rng=np.random.default_rng(1)))
+        x = _input((2, 4))
+        program = LoweredProgram({"0": QuantizedLinear.from_float(
+            model[0], activation_scale(x.data))})
+        with program.attached(model):
+            expected = model(x).data.copy()
+        assert not np.array_equal(expected, model(x).data)
+        program_copy, model_copy = pickle.loads(pickle.dumps(
+            (program, model)))
+        with program_copy.attached(model_copy):
+            np.testing.assert_array_equal(model_copy(x).data, expected)
+        assert _instance_forwards(model_copy) == []

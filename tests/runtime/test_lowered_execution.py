@@ -16,6 +16,7 @@ from repro.hardware import default_devices
 from repro.ir import lower_executors, lowerable_nodes
 from repro.models import PointPillars
 from repro.nn.graph import layer_map
+from repro.nn.tensor import Tensor
 from repro.pointcloud import (LidarConfig, SceneConfig,
                               SceneGenerator)
 from repro.runtime import InferenceEngine, LoweredProgram
@@ -67,28 +68,39 @@ class TestLoweredProgram:
         assert set(executors) \
             == {node.name for node in lowerable_nodes(compressed.ir)}
 
-    def test_attached_patches_and_restores(self, compressed):
-        program = LoweredProgram(
-            lower_executors(compressed.ir, compressed.model))
-        layers = layer_map(compressed.model)
-        originals = {name: layers[name].forward
-                     for name in program.layer_names}
-        with program.attached(compressed.model):
-            for name in program.layer_names:
-                assert layers[name].forward is not originals[name]
-        for name in program.layer_names:
-            assert layers[name].forward is originals[name]
+    @staticmethod
+    def _first_layer(program, model):
+        """The first lowered conv, its executor, and an input for it."""
+        name = program.layer_names[0]
+        module = layer_map(model)[name]
+        x = Tensor(np.random.default_rng(0).standard_normal(
+            (1, module.in_channels, 4, 4)).astype(np.float32))
+        return module, program.executors[name], x
+
+    def test_attached_routes_without_patching(self, compressed):
+        """Inside the block each lowered layer runs its executor; the
+        model itself is never patched."""
+        model = compressed.model
+        program = LoweredProgram(lower_executors(compressed.ir, model))
+        module, executor, x = self._first_layer(program, model)
+        with program.attached(model):
+            assert all("forward" not in vars(m) for m in model.modules())
+            np.testing.assert_array_equal(module(x).data,
+                                          executor.forward(x).data)
+        assert all("forward" not in vars(m) for m in model.modules())
+        np.testing.assert_array_equal(module(x).data,
+                                      module.forward(x).data)
 
     def test_restores_on_exception(self, compressed):
-        program = LoweredProgram(
-            lower_executors(compressed.ir, compressed.model))
-        layers = layer_map(compressed.model)
-        name = program.layer_names[0]
-        original = layers[name].forward
+        model = compressed.model
+        program = LoweredProgram(lower_executors(compressed.ir, model))
+        module, _, x = self._first_layer(program, model)
         with pytest.raises(RuntimeError):
-            with program.attached(compressed.model):
+            with program.attached(model):
                 raise RuntimeError("inference blew up")
-        assert layers[name].forward is original
+        assert all("forward" not in vars(m) for m in model.modules())
+        np.testing.assert_array_equal(module(x).data,
+                                      module.forward(x).data)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="execution mode"):

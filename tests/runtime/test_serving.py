@@ -9,6 +9,7 @@ backpressure (never a silent drop), cross-stream micro-batch windows
 forming only when shapes match, and per-stream telemetry isolation.
 """
 
+import sys
 import threading
 
 import pytest
@@ -192,6 +193,44 @@ def test_telemetry_streams_isolated_and_byte_equal(compressed, jetson):
         _assert_reports_equal(reports[name], ref)
         assert reports[name].telemetry
     assert reports["s2"].telemetry == {}
+
+
+def test_concurrent_windows_count_into_their_own_maps(compressed, jetson):
+    """Windows run on one engine from two threads at once (what the
+    process backend's local fallback does) each count into the map they
+    were given: every per-window map equals a solo run's."""
+    engine = _solo_engine(compressed, jetson)
+    level = engine._levels[0]
+    scenes = _scene_streams(count=1, frames=2)["s0"]
+    solo = {}
+    engine._window_results(level, scenes, collectors=solo)
+    assert solo
+    maps, errors = [[], []], []
+
+    def worker(k):
+        try:
+            for _ in range(20):
+                collectors = {}
+                engine._window_results(level, scenes, collectors=collectors)
+                maps[k].append(collectors)
+        except BaseException as exc:    # surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [len(runs) for runs in maps] == [20, 20]
+    assert all(collectors == solo for runs in maps for collectors in runs)
 
 
 def test_threaded_clients_interleaved_submission(compressed, jetson):

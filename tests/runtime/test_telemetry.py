@@ -6,7 +6,7 @@ Pinned here:
   2's four pattern families implies, at 4/8/16-bit weights;
 * the saturation rate is exactly 0 when the calibration scale covers
   the input range, and positive when it does not;
-* attaching counters never perturbs an output bit — forward and
+* passing counters never perturbs an output bit — forward and
   reference stay bit-for-bit identical with telemetry on, and both
   modes report identical counters;
 * MAC counts and accumulator extrema match an independent recompute,
@@ -87,8 +87,7 @@ class TestPatternSkipCounts:
             conv, activation_scale(x, max(8, bits)), weight_bits=bits,
             activation_bits=max(8, bits))
         telemetry = LayerTelemetry(layer="conv")
-        q.telemetry = telemetry
-        q.forward(Tensor(x))
+        q.forward(Tensor(x), telemetry=telemetry)
         # Column counters are per frame; the (batch 2) call records 2x.
         assert telemetry.columns_total == 2 * total
         assert telemetry.columns_skipped == 2 * expected_skipped
@@ -103,8 +102,7 @@ class TestPatternSkipCounts:
             deconv, activation_scale(x, max(8, bits)), weight_bits=bits,
             activation_bits=max(8, bits))
         telemetry = LayerTelemetry(layer="deconv")
-        q.telemetry = telemetry
-        q.forward(Tensor(x))
+        q.forward(Tensor(x), telemetry=telemetry)
         assert telemetry.columns_total == 2 * total
         assert telemetry.columns_skipped == 2 * expected_skipped
 
@@ -124,8 +122,7 @@ class TestLinearSkipCounts:
             linear, activation_scale(x, max(8, bits)), weight_bits=bits,
             activation_bits=max(8, bits))
         telemetry = LayerTelemetry(layer="linear")
-        q.telemetry = telemetry
-        q.forward(Tensor(x))
+        q.forward(Tensor(x), telemetry=telemetry)
         assert telemetry.columns_total == 10
         assert telemetry.columns_skipped == 3
         assert telemetry.macs == 5 * 7 * 6
@@ -140,8 +137,7 @@ class TestSaturation:
         q = QuantizedConv2d.from_float(conv, activation_scale(x),
                                        weight_bits=8)
         telemetry = LayerTelemetry()
-        q.telemetry = telemetry
-        q.forward(Tensor(x))
+        q.forward(Tensor(x), telemetry=telemetry)
         assert telemetry.activations_total == x.size
         assert telemetry.activations_saturated == 0
         assert telemetry.saturation_rate == 0.0
@@ -153,8 +149,7 @@ class TestSaturation:
         q = QuantizedConv2d.from_float(conv, activation_scale(x) / 4,
                                        weight_bits=8)
         telemetry = LayerTelemetry()
-        q.telemetry = telemetry
-        q.forward(Tensor(x))
+        q.forward(Tensor(x), telemetry=telemetry)
         assert telemetry.activations_saturated > 0
         assert 0.0 < telemetry.saturation_rate <= 1.0
 
@@ -182,9 +177,11 @@ class TestCountersDoNotPerturb:
             weight_bits=bits, activation_bits=max(8, bits))
         bare_fwd = q.forward(x).data
         bare_ref = q.reference(x).data
-        q.telemetry = LayerTelemetry()
-        np.testing.assert_array_equal(q.forward(x).data, bare_fwd)
-        np.testing.assert_array_equal(q.reference(x).data, bare_ref)
+        telemetry = LayerTelemetry()
+        np.testing.assert_array_equal(
+            q.forward(x, telemetry=telemetry).data, bare_fwd)
+        np.testing.assert_array_equal(
+            q.reference(x, telemetry=telemetry).data, bare_ref)
 
     def test_both_modes_report_identical_counters(self):
         rng = np.random.default_rng(23)
@@ -193,11 +190,9 @@ class TestCountersDoNotPerturb:
         q = QuantizedConv2d.from_float(conv, activation_scale(x.data),
                                        weight_bits=8)
         fwd_tele = LayerTelemetry()
-        q.telemetry = fwd_tele
-        q.forward(x)
+        q.forward(x, telemetry=fwd_tele)
         ref_tele = LayerTelemetry()
-        q.telemetry = ref_tele
-        q.reference(x)
+        q.reference(x, telemetry=ref_tele)
         assert fwd_tele == ref_tele
 
 
@@ -209,8 +204,7 @@ class TestMacsAndAccumulator:
         q = QuantizedConv2d.from_float(conv, activation_scale(x.data),
                                        weight_bits=8)
         telemetry = LayerTelemetry()
-        q.telemetry = telemetry
-        q.forward(x)
+        q.forward(x, telemetry=telemetry)
         kept = total - expected_skipped
         positions = 6 * 6                       # stride 1, padding 1
         assert telemetry.macs == 2 * 4 * kept * positions
@@ -224,8 +218,7 @@ class TestMacsAndAccumulator:
         q = QuantizedConv2d.from_float(conv, activation_scale(x.data),
                                        weight_bits=8)
         telemetry = LayerTelemetry()
-        q.telemetry = telemetry
-        q.forward(x)
+        q.forward(x, telemetry=telemetry)
         acc = q._accumulate(x.data, np.int64)
         assert telemetry.acc_min == int(acc.min())
         assert telemetry.acc_max == int(acc.max())
