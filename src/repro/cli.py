@@ -796,9 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset compressed as the watchdog fallback")
     p.add_argument("--execution", default="reference",
                    choices=EXECUTION_MODES,
-                   help="run quantized layers on float64 fake-quant "
-                        "reference executors or int64 lowered kernels "
-                        "(bit-for-bit identical outputs)")
+                   help="execution mode name; both values run the "
+                        "same exact integer executors")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record per-frame per-layer cost attributions "
                         "and export them as a JSON trace (see "

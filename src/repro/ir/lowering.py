@@ -9,12 +9,13 @@ max-calibrated activation scale from the node's profiled
 positions.  Nodes left at full precision (bits > 16, or never profiled)
 stay on the normal float path.
 
-Executors come in two execution modes with a bit-for-bit parity
-guarantee (see :mod:`repro.nn.quantized`):
-
-* ``"lowered"`` — int64 multiply-accumulate, the deployment semantics;
-* ``"reference"`` — float64 accumulate-then-dequantize, the fake-quant
-  reference semantics.
+Each executor has one accumulation path, the exact integer
+multiply-accumulate run as one float64 gemm (see
+:mod:`repro.nn.quantized`).  Building an executor whose accumulator
+bound is not certified below 2⁵³ raises
+:class:`~repro.nn.quantized.AccumulatorBoundError`, so
+:func:`lower_executors` raises it too; no node in the 4–16-bit range
+lowered here comes near the bound.
 
 :class:`repro.runtime.executors.LoweredProgram` binds the executors to
 a live model for the :class:`~repro.runtime.engine.InferenceEngine`.
@@ -32,7 +33,7 @@ from .model_ir import IRNode, ModelIR
 
 __all__ = ["lower_executors", "lowerable_nodes", "executor_for"]
 
-#: Bitwidths the integer executors accept (int64 accumulators stay
+#: Bitwidths the integer executors accept (float64 accumulators stay
 #: exact well past 16-bit codes; 32-bit means "not quantized" here).
 MIN_EXECUTOR_BITS = 4
 MAX_EXECUTOR_BITS = 16
@@ -93,7 +94,9 @@ def lower_executors(ir: ModelIR, model: Module) -> dict[str, Module]:
     Returns ``layer name → executor``; layers absent from the mapping
     keep their float forward.  The model is not modified — attaching the
     executors to a live forward pass is the runtime's job
-    (:class:`repro.runtime.executors.LoweredProgram`).
+    (:class:`repro.runtime.executors.LoweredProgram`).  Raises
+    :class:`~repro.nn.quantized.AccumulatorBoundError` if a node's
+    executor cannot be certified exact.
     """
     layers = layer_map(model)
     executors: dict[str, Module] = {}

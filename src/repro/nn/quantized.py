@@ -16,45 +16,47 @@ Two guarantees make the executors testable:
   input features (linear) whose weights are all-zero are skipped before
   the integer matmul, and skipping a zero integer column cannot change
   an integer accumulation.
-* **``reference()`` is bit-for-bit.**  Each executor's ``reference``
-  method runs the float-side semantics — dequantize *after* the
-  accumulation — in float64.  Integer sums of b≤16-bit codes stay far
-  below 2⁵³, so the float64 accumulation is exact and equals the int64
-  accumulation; both paths then apply the identical rescale multiply,
-  producing identical bit patterns.  This is the parity the
-  ``execution="lowered"`` runtime asserts against
-  ``execution="reference"``.
+* **The float64 gemm is the exact integer accumulation.**  Each
+  executor has one accumulation path: integer codes in a float64 work
+  buffer, one float64 BLAS gemm, then the rescale epilogue.  Lowering
+  only builds executors whose a-priori accumulator bound certifies
+  every partial sum below 2⁵³, where float64 integer arithmetic is
+  exact, so the gemm returns the int64 multiply-accumulate a
+  deployment engine's INT8 MACs would, whatever its summation order.
+  Construction raises :class:`AccumulatorBoundError` otherwise (no
+  4–16-bit configuration this repo lowers comes near the bound).  The
+  runtime's ``execution="lowered"`` and ``execution="reference"``
+  both run this one path.
 
 Every executor call takes an opt-in ``telemetry`` counter (a
 :class:`repro.runtime.telemetry.LayerTelemetry`, keyword-only, per
 call); when given, the shared ``_accumulate`` core counts executed
 MACs, skipped vs. total columns, activation saturation, and the
-accumulator extrema.  Counters only observe values both paths already
-compute, so passing one cannot perturb either guarantee (see
+accumulator extrema.  Counters only observe values the path already
+computes, so passing one cannot perturb either guarantee (see
 ``docs/OBSERVABILITY.md``).  Executors hold no per-run state, so any
 number of threads may call one executor at once.
 
 Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
 
 * Every executor accepts a leading batch dimension and runs the whole
-  micro-batch through **one** matmul.  Because both accumulation paths
-  are exact, the batched result is *byte-identical* to stacking the
+  micro-batch through **one** matmul.  Because the accumulation is
+  exact, the batched result is *byte-identical* to stacking the
   per-frame results — summation blocking cannot change an exact sum.
 * The pruned weight matrix is **compacted once** at construction
   (:meth:`_compact`): ``weight_codes`` reduced to the ``_keep_cols``
   columns, instead of boolean-masked on every forward.
 * The im2col / scatter geometry comes from the shape-keyed plan cache
   in :mod:`repro.nn.functional`, restricted to the kept columns and
-  memoized per input shape on the executor.
+  memoized per input shape on the executor (one module-level lock
+  guards every memo, so executors hold no lock and pickle as-is).
 * Activations are quantized **once, straight into the work buffer**
   (:func:`_quantize_into`): the conv path writes the codes into the
-  interior of a per-call padded buffer of the work dtype (float64 on
-  the gemm / reference path, int64 on the einsum fallback) and gathers
-  its im2col columns from it — no ``np.pad`` copy and no int64 →
-  float64 round trip.  Only a padded buffer is zero-filled; an
-  unpadded one is overwritten whole.  The buffer is allocated per call,
-  never shared per plan, so concurrent serving threads cannot race on
-  it.
+  interior of a per-call padded float64 buffer and gathers its im2col
+  columns from it — no ``np.pad`` copy and no int64 → float64 round
+  trip.  Only a padded buffer is zero-filled; an unpadded one is
+  overwritten whole.  The buffer is allocated per call, never shared
+  per plan, so concurrent serving threads cannot race on it.
 * **Pointwise layers skip the identity gather.**  For a 1×1, stride-1,
   unpadded conv with every column kept, the work buffer already *is*
   the ``(n, c, h·w)`` column matrix, so the memoized shape plan holds
@@ -65,11 +67,6 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
   :meth:`_compact` with ``np.multiply(..., dtype=float64)`` — the same
   elementwise product as before, without a cast copy — and adds the
   bias in place.
-* When the a-priori accumulator bound certifies every intermediate sum
-  stays below 2⁵³ (true for all 4–16-bit configurations this repo
-  produces), both paths share a float64 BLAS gemm whose result is the
-  exact integer accumulation; otherwise each path falls back to an
-  int64/float64 einsum.
 """
 
 from __future__ import annotations
@@ -84,7 +81,8 @@ from .module import Module
 from .tensor import Tensor
 
 __all__ = ["QuantizedConv2d", "QuantizedConvTranspose2d", "QuantizedLinear",
-           "activation_scale", "quantize_activation"]
+           "AccumulatorBoundError", "activation_scale",
+           "quantize_activation"]
 
 #: Accumulator magnitude below which float64 integer arithmetic is exact
 #: (kept equal to ``2 ** repro.runtime.telemetry.ACC_EXACT_BITS``; not
@@ -97,25 +95,60 @@ _MAX_SHAPE_PLANS = 16
 #: Memo miss marker: a plan may legitimately be ``None`` (identity).
 _MISSING = object()
 
+#: Guards every get / evict / insert on every executor's plan memo.  The
+#: critical sections are dict operations only, so one lock shared by
+#: all executors costs nothing measurable and keeps executors free of
+#: unpicklable state.
+_PLANS_LOCK = threading.Lock()
 
-def _memoized_plan(plans: dict, lock: threading.Lock, key, build):
+
+class AccumulatorBoundError(ValueError):
+    """An executor's accumulator bound is not certified below 2⁵³.
+
+    Past that bound a float64 gemm may round a partial sum, so it is no
+    longer the exact integer accumulation the executor promises; the
+    executor refuses to be built instead of running inexactly.
+    """
+
+
+def _certify_exact(executor, terms: int) -> None:
+    """Raise :class:`AccumulatorBoundError` unless the float64 gemm of
+    ``executor`` is exact.
+
+    ``terms`` is the most products one output accumulator sums (kept
+    columns for conv and linear, ``k²·in_c`` scatter contributors for
+    deconv), so ``|acc| <= terms · max|w| · max|x|``; below 2⁵³ every
+    partial sum is an exactly-representable float64 integer.
+    """
+    codes = executor.weight_codes
+    max_w = int(np.abs(codes).max()) if codes.size else 0
+    bound = terms * max_w * (2 ** (executor.activation_bits - 1) - 1)
+    if bound >= _EXACT_ACC_LIMIT:
+        raise AccumulatorBoundError(
+            f"{type(executor).__name__}: accumulator bound {bound} "
+            f"({terms} terms x |w| <= {max_w} x "
+            f"{executor.activation_bits}-bit activations) is not below "
+            f"2**53; the float64 gemm would not be exact")
+
+
+def _memoized_plan(plans: dict, key, build):
     """Thread-safe get-or-build on an executor's bounded plan memo.
 
     The forward path is documented concurrency-safe (concurrent
     serving streams share one compiled program — see
     ``docs/SERVING.md``), so every get / FIFO-evict / insert on the
-    per-executor ``_plans`` dict happens under its lock.  ``build``
-    runs *outside* the lock (plan construction gathers large index
-    arrays); when two threads race on a cold key, the first insert
-    wins and both return the same entry, keeping every caller
+    per-executor ``_plans`` dict happens under :data:`_PLANS_LOCK`.
+    ``build`` runs *outside* the lock (plan construction gathers large
+    index arrays); when two threads race on a cold key, the first
+    insert wins and both return the same entry, keeping every caller
     consistent.
     """
-    with lock:
+    with _PLANS_LOCK:
         entry = plans.get(key, _MISSING)
     if entry is not _MISSING:
         return entry
     built = build()
-    with lock:
+    with _PLANS_LOCK:
         entry = plans.get(key, _MISSING)
         if entry is _MISSING:
             while len(plans) >= _MAX_SHAPE_PLANS:
@@ -130,8 +163,8 @@ def _batched_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``matmul`` broadcasts the stacked operand without materializing a
     rearranged copy of ``cols``, which is what makes the batched path
-    cheaper than ``n`` separate calls.  Only used when the accumulation
-    is certified exact, where any summation order or blocking yields
+    cheaper than ``n`` separate calls.  The accumulation is certified
+    exact at construction, so any summation order or blocking yields
     the identical integer result.
     """
     if cols.shape[0] == 1:
@@ -151,8 +184,8 @@ def _quantize_into(x: np.ndarray, scale: float, bits: int,
     """Write the integer codes of ``x`` at ``scale`` into ``out``.
 
     ``out`` is any array (or view) of ``x``'s shape; the codes are
-    small integers, exact in every work dtype the executors use, so
-    writing them as float64 equals writing int64 codes and casting.
+    small integers, so writing them into the executors' float64 work
+    buffer equals writing int64 codes and casting.
     ``telemetry`` (a :class:`repro.runtime.telemetry.LayerTelemetry`)
     optionally counts how many values saturate — round outside
     ``[-max_code, max_code]`` and get clipped, i.e. fall outside the
@@ -226,21 +259,13 @@ class QuantizedConv2d(Module):
         """
         out_c = self.weight_codes.shape[0]
         w_mat = self.weight_codes.reshape(out_c, -1)
-        self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols])
-        self._w_kept_f64 = self._w_kept.astype(np.float64)
-        self._rescale = self.weight_scales[None, :, None] * self.input_scale
         self._kept = int(self._keep_cols.sum())
-        max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
-        act_max = 2 ** (self.activation_bits - 1) - 1
-        # |acc| <= kept · max|w| · max|x|: when below 2^53 every partial
-        # sum is an exactly-representable float64 integer, certifying
-        # the shared BLAS gemm path.
-        self._use_gemm = self._kept * max_w * act_max < _EXACT_ACC_LIMIT
+        _certify_exact(self, self._kept)
+        self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols],
+                                            np.float64)
+        self._rescale = self.weight_scales[None, :, None] * self.input_scale
+        # (Re)compaction is a single-threaded construction-time step.
         self._plans: dict = {}
-        # Guards every get/evict/insert on _plans: the forward path may
-        # be driven by concurrent serving streams.  (Re)compaction
-        # itself stays a single-threaded construction-time operation.
-        self._plans_lock = threading.Lock()
 
     def _shape_plan(self, c: int, h: int, w: int):
         """Kept-column gather indices + geometry for one input shape.
@@ -262,8 +287,7 @@ class QuantizedConv2d(Module):
                 idx = geometry.indices.ravel()
             return (idx, geometry)
 
-        return _memoized_plan(self._plans, self._plans_lock,
-                              (c, h, w), build)
+        return _memoized_plan(self._plans, (c, h, w), build)
 
     @staticmethod
     def from_float(conv: Conv2d, input_scale: float,
@@ -279,30 +303,23 @@ class QuantizedConv2d(Module):
                                conv.stride, conv.padding, input_scale,
                                activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype,
-                    telemetry=None) -> np.ndarray:
-        """Shared core: quantize into the padded buffer → gather kept
-        columns → one matmul.
+    def _accumulate(self, data: np.ndarray, telemetry=None) -> np.ndarray:
+        """Quantize into the padded buffer → gather kept columns → one
+        float64 gemm, the exact integer accumulation (certified in
+        :meth:`_compact`).
 
-        ``dtype=int64`` is the deployment path; ``dtype=float64`` is the
-        reference semantics.  Both see the same codes and the same
-        skipped columns, and both accumulations are exact, so they
-        return equal values — and when the compaction-time bound
-        certified exactness, both share the float64 gemm outright.  The
-        whole micro-batch (leading ``n``) runs as one matmul, which is
-        byte-identical to ``n`` single-frame calls because exact sums
-        are blocking-independent.
+        The whole micro-batch (leading ``n``) runs as one matmul, which
+        is byte-identical to ``n`` single-frame calls because exact
+        sums are blocking-independent.
         """
         n, c, h, w = data.shape
         out_c = self.weight_codes.shape[0]
         idx, geometry = self._shape_plan(c, h, w)
-        int_work = not self._use_gemm and np.dtype(dtype) == np.int64
         p = self.padding
         # Per-call buffer: executors are shared by serving threads.  An
         # unpadded buffer is overwritten whole, so it needs no zeroing.
         padded = (np.zeros if p else np.empty)(
-            (n, c, h + 2 * p, w + 2 * p),
-            np.int64 if int_work else np.float64)
+            (n, c, h + 2 * p, w + 2 * p), np.float64)
         _quantize_into(data, self.input_scale, self.activation_bits,
                        padded[:, :, p:p + h, p:p + w], telemetry)
         if idx is None:
@@ -310,11 +327,7 @@ class QuantizedConv2d(Module):
         else:
             cols = padded.reshape(n, -1).take(idx, axis=1) \
                 .reshape(n, self._kept, geometry.positions)
-        w_mat = self._w_kept if int_work else self._w_kept_f64
-        if self._use_gemm:
-            acc = _batched_gemm(w_mat, cols)
-        else:
-            acc = np.einsum("ok,nkp->nop", w_mat, cols)
+        acc = _batched_gemm(self._w_kept, cols)
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
@@ -337,26 +350,19 @@ class QuantizedConv2d(Module):
         if self.bias is not None:
             out += self.bias.reshape(1, -1, 1, 1)
         else:
-            # Canonicalize zero signs: the float einsum fallback can
-            # leave -0.0 where the int64 accumulation gives +0.0.
-            # Adding 0.0 maps -0.0 to +0.0 and is the identity
-            # elsewhere, so both execution modes emit the same bytes.
+            # Canonicalize zero signs: over a zero input, negative
+            # weights give -0.0 products, and whether their sum is -0.0
+            # or +0.0 depends on how the BLAS build seeds its
+            # accumulator.  Adding 0.0 maps -0.0 to +0.0 and is the
+            # identity elsewhere, so output bytes do not depend on it.
             out += 0.0
         return Tensor(out.astype(np.float32))
 
     def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
         data = _as_array(x)
-        # The integer core: exact accumulation of the int64 codes (via
-        # the certified gemm when the bound holds), exactly as a
-        # deployment engine's INT8 MACs with a 32/64-bit accumulator.
-        return self._finish(self._accumulate(data, np.int64, telemetry),
-                            data.shape)
-
-    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
-        """Float-semantics twin: float64 accumulate, identical rescale."""
-        data = _as_array(x)
-        return self._finish(self._accumulate(data, np.float64, telemetry),
-                            data.shape)
+        # The integer core: exact accumulation of the codes, exactly as
+        # a deployment engine's INT8 MACs with a 32/64-bit accumulator.
+        return self._finish(self._accumulate(data, telemetry), data.shape)
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """The float32 training-side view: dequantized weights convolved
@@ -411,23 +417,17 @@ class QuantizedConvTranspose2d(Module):
         """(Re)build the packed execution structures from ``_keep_cols``."""
         in_c, _, kernel, _ = self.weight_codes.shape
         w_mat = self.weight_codes.reshape(in_c, -1)
+        # Each scatter-added output cell sums at most k·k contributors,
+        # each an in_c-length dot.
+        _certify_exact(self, kernel * kernel * in_c)
         # (kept, in_c): rows are the kept scatter columns, ready for the
         # (kept, in_c) @ (n, in_c, h·w) gemm.
-        self._w_keptT = np.ascontiguousarray(w_mat[:, self._keep_cols].T)
-        self._w_keptT_f64 = self._w_keptT.astype(np.float64)
+        self._w_keptT = np.ascontiguousarray(w_mat[:, self._keep_cols].T,
+                                             np.float64)
         self._rescale = \
             self.weight_scales[None, :, None, None] * self.input_scale
         self._kept = int(self._keep_cols.sum())
-        max_w = int(np.abs(self._w_keptT).max()) if self._w_keptT.size else 0
-        act_max = 2 ** (self.activation_bits - 1) - 1
-        # Each scatter-added output cell sums at most k·k contributors,
-        # each an in_c-length dot: |acc| <= k²·in_c·max|w|·max|x|.
-        self._use_gemm = (kernel * kernel * in_c * max_w * act_max
-                          < _EXACT_ACC_LIMIT)
         self._plans: dict = {}
-        # Same discipline as QuantizedConv2d: the memo must be safe
-        # under concurrent forward callers.
-        self._plans_lock = threading.Lock()
 
     def _shape_plan(self, h: int, w: int):
         """The kept-column scatter plan for one input spatial shape, or
@@ -445,8 +445,7 @@ class QuantizedConvTranspose2d(Module):
             return col2im_plan(out_c, out_h, out_w, kernel, self.stride,
                                self.padding).restrict(self._keep_cols)
 
-        return _memoized_plan(self._plans, self._plans_lock,
-                              (h, w), build)
+        return _memoized_plan(self._plans, (h, w), build)
 
     @staticmethod
     def from_float(deconv: ConvTranspose2d, input_scale: float,
@@ -464,21 +463,13 @@ class QuantizedConvTranspose2d(Module):
                                         deconv.padding, input_scale,
                                         activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype,
-                    telemetry=None) -> np.ndarray:
+    def _accumulate(self, data: np.ndarray, telemetry=None) -> np.ndarray:
         n, c, h, w = data.shape
         in_c = self.weight_codes.shape[0]
-        int_work = not self._use_gemm and np.dtype(dtype) == np.int64
-        x_codes = _quantize_into(
-            data, self.input_scale, self.activation_bits,
-            np.empty(data.shape, np.int64 if int_work else np.float64),
-            telemetry)
-        x_mat = x_codes.reshape(n, in_c, h * w)
-        w_mat = self._w_keptT if int_work else self._w_keptT_f64
-        if self._use_gemm:
-            cols = _batched_gemm(w_mat, x_mat)
-        else:
-            cols = np.einsum("ok,nkp->nop", w_mat, x_mat)
+        x_codes = _quantize_into(data, self.input_scale,
+                                 self.activation_bits,
+                                 np.empty(data.shape, np.float64), telemetry)
+        cols = _batched_gemm(self._w_keptT, x_codes.reshape(n, in_c, h * w))
         plan = self._shape_plan(h, w)
         acc = cols.reshape(n, -1, h, w) if plan is None \
             else plan.apply(cols)
@@ -505,13 +496,7 @@ class QuantizedConvTranspose2d(Module):
         return Tensor(out.astype(np.float32))
 
     def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
-        return self._finish(
-            self._accumulate(_as_array(x), np.int64, telemetry))
-
-    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
-        """Float-semantics twin: float64 accumulate, identical rescale."""
-        return self._finish(
-            self._accumulate(_as_array(x), np.float64, telemetry))
+        return self._finish(self._accumulate(_as_array(x), telemetry))
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """Float32 view via the normal deconvolution pipeline."""
@@ -555,15 +540,12 @@ class QuantizedLinear(Module):
 
     def _compact(self) -> None:
         """(Re)build the packed execution structures from ``_keep_cols``."""
-        self._w_kept = np.ascontiguousarray(
-            self.weight_codes[:, self._keep_cols])
-        self._w_kept_f64 = self._w_kept.astype(np.float64)
-        self._rescale = self.weight_scales[None, :] * self.input_scale
         self._keep_idx = np.flatnonzero(self._keep_cols)
         self._kept = int(self._keep_idx.size)
-        max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
-        act_max = 2 ** (self.activation_bits - 1) - 1
-        self._use_gemm = self._kept * max_w * act_max < _EXACT_ACC_LIMIT
+        _certify_exact(self, self._kept)
+        self._w_kept = np.ascontiguousarray(
+            self.weight_codes[:, self._keep_cols], np.float64)
+        self._rescale = self.weight_scales[None, :] * self.input_scale
 
     @staticmethod
     def from_float(linear: Linear, input_scale: float,
@@ -576,25 +558,19 @@ class QuantizedLinear(Module):
         return QuantizedLinear(codes, scales, bias, input_scale,
                                activation_bits)
 
-    def _accumulate(self, data: np.ndarray, dtype,
-                    telemetry=None) -> np.ndarray:
+    def _accumulate(self, data: np.ndarray, telemetry=None) -> np.ndarray:
         in_features = self.weight_codes.shape[1]
         out_features = self.weight_codes.shape[0]
-        use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
-        x_codes = _quantize_into(
-            data, self.input_scale, self.activation_bits,
-            np.empty(data.shape, np.float64 if use_f64 else np.int64),
-            telemetry)
+        x_codes = _quantize_into(data, self.input_scale,
+                                 self.activation_bits,
+                                 np.empty(data.shape, np.float64), telemetry)
         # A leading batch dimension (ndim > 2) folds into the row axis:
         # one gemm covers the whole micro-batch.
         frames = data.shape[0] if data.ndim > 2 else 1
         x_mat = x_codes.reshape(-1, in_features)
         if self._kept != in_features:
             x_mat = x_mat.take(self._keep_idx, axis=1)
-        if use_f64:
-            acc = x_mat @ self._w_kept_f64.T
-        else:
-            acc = x_mat @ self._w_kept.T
+        acc = x_mat @ self._w_kept.T
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
@@ -618,14 +594,7 @@ class QuantizedLinear(Module):
 
     def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
         data = _as_array(x)
-        return self._finish(self._accumulate(data, np.int64, telemetry),
-                            data.shape)
-
-    def reference(self, x: Tensor, *, telemetry=None) -> Tensor:
-        """Float-semantics twin: float64 accumulate, identical rescale."""
-        data = _as_array(x)
-        return self._finish(self._accumulate(data, np.float64, telemetry),
-                            data.shape)
+        return self._finish(self._accumulate(data, telemetry), data.shape)
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """Float32 view via the normal affine pipeline."""

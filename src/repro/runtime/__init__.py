@@ -3,9 +3,9 @@
 Runs detectors over scene streams with per-frame simulated device
 latency/energy accounting and real-time deadline tracking; loads packed
 compressed checkpoints produced by :mod:`repro.core.packing`.  Quantized
-layers execute through integer kernels lowered from the model's
-:class:`~repro.ir.ModelIR` (:mod:`repro.runtime.executors`) in either
-``"lowered"`` (int64) or ``"reference"`` (float64 fake-quant) mode.
+layers execute through exact integer kernels lowered from the model's
+:class:`~repro.ir.ModelIR` (:mod:`repro.runtime.executors`); the
+``"lowered"`` and ``"reference"`` execution modes both run them.
 The fault-tolerance layer — seeded fault injection, degradation
 policies, and the deadline watchdog — lives in
 :mod:`repro.runtime.faults` and

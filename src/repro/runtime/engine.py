@@ -489,11 +489,11 @@ class InferenceEngine:
         device cost flows — the extension point for per-frame cost
         models beyond the injector's latency jitter.
     execution:
-        ``"reference"`` (default) runs quantized layers through the
-        float64 fake-quant reference executors; ``"lowered"`` runs the
-        same executors on int64 multiply-accumulates.  Both modes are
-        bit-for-bit identical after the final rescale (see
-        :mod:`repro.nn.quantized`).  Any other value raises
+        ``"reference"`` (default) or ``"lowered"``.  Both run quantized
+        layers through the same integer executors, each on its one
+        exact accumulation path (see :mod:`repro.nn.quantized`); the
+        name survives because the end-to-end benchmark (``perfbench``)
+        and the fuzz baseline header record it.  Any other value raises
         ``ValueError``.  Models with no quantized layers execute their
         plain float forward in either mode.
     ir:
@@ -514,8 +514,7 @@ class InferenceEngine:
         engine's collector map (the program's default map); the finished
         :class:`StreamReport.telemetry` carries snapshots and
         ``summary()`` gains a one-line digest.  Strictly opt-in and
-        observation-only — the lowered ≡ reference bit-for-bit parity
-        is unaffected.
+        observation-only — no output bit depends on it.
     batch_size:
         Micro-batching window: :meth:`run` collects up to this many
         valid in-flight scenes and executes them in one batched lowered

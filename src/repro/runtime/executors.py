@@ -11,14 +11,12 @@ forward, in the calling thread only.  Neither the model nor the
 executors change, so any number of threads can run one model under
 different programs (or under one program) at once.
 
-The program runs in one of two modes sharing the same executors:
-
-* ``"lowered"`` — int64 multiply-accumulate per layer;
-* ``"reference"`` — float64 fake-quant reference semantics.
-
-Both modes are bit-for-bit identical after the final rescale (see
-:mod:`repro.nn.quantized`), which is what lets the engine's parity
-tests compare whole detection outputs with ``==``.
+A program accepts a ``mode`` of ``"lowered"`` or ``"reference"``
+(:data:`EXECUTION_MODES`).  Both run each executor's one exact integer
+path (see :mod:`repro.nn.quantized`); the value is kept in
+:attr:`LoweredProgram.mode` because the end-to-end benchmark
+(``perfbench``) builds its unpinned-seed oracle with
+``execution="reference"`` and tells the two programs apart by it.
 
 Per-layer telemetry is per call and strictly opt-in: a routed layer
 hands its executor the counter for its name from the ``layer name →``
@@ -51,8 +49,8 @@ class LoweredProgram:
         ``layer name → executor`` as produced by
         :func:`repro.ir.lowering.lower_executors`.
     mode:
-        ``"lowered"`` runs the integer path, ``"reference"`` the
-        float64 fake-quant reference path of the same executors.
+        ``"lowered"`` or ``"reference"``; both run the executors' one
+        integer path, and the value is only recorded.
     telemetry:
         When true, start with a default collector map (equivalent to
         calling :meth:`enable_telemetry`).
@@ -115,8 +113,8 @@ class LoweredProgram:
     # Routing
     # ------------------------------------------------------------------
     def _run_fn(self, executor: Module):
-        if self.mode == "reference":
-            return executor.reference
+        """The callable a routed layer runs: the executor's forward, in
+        either mode."""
         return executor.forward
 
     def _bind(self, model: Module) -> tuple:

@@ -9,9 +9,9 @@ that closes that gap, in two independent pieces:
   executor populates while it runs: MACs actually executed,
   im2col/scatter columns skipped by pattern-aware skipping vs. the
   dense total, the activation saturation (clip) rate out of
-  ``quantize_activation``, and the int64 accumulator extrema tracked
-  against the 2^53 float64-exactness bound that underwrites the
-  lowered ≡ reference parity guarantee.
+  ``quantize_activation``, and the integer accumulator extrema tracked
+  against the 2^53 float64-exactness bound that lets one float64 gemm
+  stand in for the integer multiply-accumulate.
 
 * :class:`TraceEvent` — the engine's per-frame attribution of simulated
   device cost to individual IR nodes (from the
@@ -39,8 +39,9 @@ __all__ = ["ACC_EXACT_BITS", "LayerTelemetry", "TraceEvent",
            "LayerAttribution", "attribute_trace", "aggregate_telemetry",
            "telemetry_digest", "export_trace"]
 
-#: Bit bound below which an int64 accumulation is also exact in float64
-#: (the contract the ``reference`` execution mode relies on).
+#: Bit bound below which an integer accumulation is exact in float64
+#: (the contract every executor's float64 gemm relies on; executors
+#: whose a-priori bound exceeds it refuse to be built).
 ACC_EXACT_BITS = 53
 
 #: Pseudo-layer names used by the engine's trace events.
@@ -65,7 +66,7 @@ class LayerTelemetry:
     """
 
     layer: str = ""
-    #: forward/reference invocations observed
+    #: executor invocations observed (one per frame of a batched call)
     calls: int = 0
     #: multiply-accumulates actually executed (after column skipping)
     macs: int = 0
@@ -78,7 +79,7 @@ class LayerTelemetry:
     activations_total: int = 0
     #: activation values clipped to ±max_code (outside the calibrated range)
     activations_saturated: int = 0
-    #: accumulator extrema across calls (int64 path == float64 path)
+    #: integer accumulator extrema across calls
     acc_min: int | None = None
     acc_max: int | None = None
 
@@ -173,9 +174,10 @@ class LayerTelemetry:
     def headroom_bits(self) -> float:
         """Bits of slack between the accumulator extrema and 2^53.
 
-        Positive headroom certifies the float64 reference accumulation
-        was exact (hence bit-for-bit equal to the int64 path); infinite
-        when no accumulation has been observed or all sums were 0.
+        Positive headroom confirms the observed float64 gemm sums were
+        exact integers (the a-priori bound certified at construction
+        already guarantees it); infinite when no accumulation has been
+        observed or all sums were 0.
         """
         absmax = self.acc_absmax
         if absmax == 0:

@@ -3,10 +3,11 @@
 Satellite acceptance: bitwidth ∈ {4, 8, 16} × all four pattern families
 × {Conv2d, ConvTranspose2d, Linear}, asserting
 
-* ``forward`` (int64 multiply-accumulate) ≡ ``reference`` (float64
-  fake-quant semantics) down to identical float32 bit patterns — the
-  guarantee ``execution="lowered"`` vs ``execution="reference"`` rests
-  on; and
+* ``forward`` (one float64 gemm) ≡ the independent int64 oracle of
+  :mod:`tests.nn.quantized_oracle` down to identical float32 bit
+  patterns — the accumulation is the exact integer one; every cell
+  also constructs, so no lowerable configuration trips the 2⁵³
+  :class:`~repro.nn.quantized.AccumulatorBoundError`; and
 * ``forward`` vs ``fake_quant_reference`` (the float32 training-side
   view) within **one rescaling ulp per path**: each side rounds to
   float32 once at its final rescale, so they agree to within two units
@@ -21,6 +22,7 @@ from repro.core.patterns import PATTERN_TYPES, generate_pattern
 from repro.nn import Tensor
 from repro.nn.quantized import (QuantizedConv2d, QuantizedConvTranspose2d,
                                 QuantizedLinear, activation_scale)
+from tests.nn.quantized_oracle import oracle_output
 
 BITWIDTHS = (4, 8, 16)
 
@@ -32,9 +34,8 @@ def _pattern(pattern_type):
 
 def _assert_bit_for_bit(executor, x):
     lowered = executor(x)
-    reference = executor.reference(x)
     assert lowered.data.dtype == np.float32
-    assert lowered.data.tobytes() == reference.data.tobytes()
+    assert lowered.data.tobytes() == oracle_output(executor, x).tobytes()
     return lowered
 
 

@@ -1,12 +1,12 @@
 """Batched ≡ sequential bit-for-bit parity of the integer executors.
 
-The tentpole contract of micro-batched lowered execution: running a
-whole batch through one ``forward``/``reference`` call must produce
-*byte-identical* outputs to stacking the per-frame calls — across
-bitwidths (4/8/16), all four pattern families, all three executor
-kinds, and batch sizes 1/2/5 — and the telemetry counters of the
-batched call must equal the sum of the per-frame counters.  The
-certified-gemm fast path and the einsum fallback must agree too.
+The contract of micro-batched lowered execution: running a whole batch
+through one ``forward`` call must produce *byte-identical* outputs to
+stacking the per-frame calls, and to the independent int64 oracle of
+:mod:`tests.nn.quantized_oracle` — across bitwidths (4/8/16), all four
+pattern families, all three executor kinds, and batch sizes 1/2/5 —
+and the telemetry counters of the batched call must equal the sum of
+the per-frame counters.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.nn import Tensor
 from repro.nn.quantized import (QuantizedConv2d, QuantizedConvTranspose2d,
                                 QuantizedLinear, activation_scale)
 from repro.runtime.telemetry import LayerTelemetry
+from tests.nn.quantized_oracle import oracle_output
 
 BITWIDTHS = (4, 8, 16)
 BATCH_SIZES = (1, 2, 5)
@@ -76,31 +77,16 @@ def _stack(frames):
 @pytest.mark.parametrize("bits", BITWIDTHS)
 class TestBatchedBitForBit:
     def test_forward_and_reference(self, bits, pattern_type, kind, batch):
+        """Batched ≡ stacked per-frame calls ≡ the int64 oracle."""
         executor, frames = _make_executor(kind, bits, pattern_type)
         frames = frames[:batch]
         batched = _stack(frames)
-        for run in (executor.forward, executor.reference):
-            whole = run(batched).data
-            stacked = np.concatenate(
-                [run(f).data for f in frames], axis=0)
-            assert whole.shape == stacked.shape
-            assert whole.tobytes() == stacked.tobytes()
-
-    def test_gemm_and_fallback_agree(self, bits, pattern_type, kind,
-                                     batch):
-        """The certified float64 gemm and the int64 einsum fallback are
-        the same exact integer accumulation — byte-equal outputs."""
-        executor, frames = _make_executor(kind, bits, pattern_type)
-        batched = _stack(frames[:batch])
-        assert executor._use_gemm      # all repo configs certify
-        fast = executor.forward(batched).data
-        fast_ref = executor.reference(batched).data
-        executor._use_gemm = False
-        slow = executor.forward(batched).data
-        slow_ref = executor.reference(batched).data
-        executor._use_gemm = True
-        assert fast.tobytes() == slow.tobytes()
-        assert fast_ref.tobytes() == slow_ref.tobytes()
+        whole = executor.forward(batched).data
+        stacked = np.concatenate(
+            [executor.forward(f).data for f in frames], axis=0)
+        assert whole.shape == stacked.shape
+        assert whole.tobytes() == stacked.tobytes()
+        assert whole.tobytes() == oracle_output(executor, batched).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv", "deconv", "linear"])

@@ -209,13 +209,19 @@ def test_shared_lowered_program_bit_identical_under_threads():
     _hammer(worker, threads=2)
 
 
-def test_plans_lock_exists_after_compaction():
-    """_compact rebuilds must re-arm the memo lock (the state the
-    double-checked helper relies on)."""
+def test_compaction_resets_the_plan_memo():
+    """_compact rebuilds start from an empty memo (its gather indices
+    embed the kept columns), and the module-level memo lock needs no
+    per-executor state to be re-armed: the rebuilt memo refills and
+    gives the same bytes."""
     stack = _executor_stack(seed=7)
     for executor, frames in stack:
         if not hasattr(executor, "_plans"):
             continue
-        assert isinstance(executor._plans_lock, type(threading.Lock()))
-        executor.forward(frames[0])
-        assert isinstance(executor._plans_lock, type(threading.Lock()))
+        before = executor.forward(frames[0]).data
+        assert executor._plans
+        executor._compact()
+        assert executor._plans == {}
+        assert executor.forward(frames[0]).data.tobytes() \
+            == before.tobytes()
+        assert len(executor._plans) == 1

@@ -15,7 +15,8 @@ never by patching the model.  Pinned here:
   the same time each see their own executor's output, with no lock
   between them;
 * binding — the ``layer_map`` walk runs once per program/model pair,
-  and a bound program still pickles.
+  and a bound program still pickles, also a lowered detector's program
+  with warm conv/deconv plan memos.
 """
 
 import pickle
@@ -265,9 +266,7 @@ class TestBinding:
         assert walks == [model, other]
 
     def test_bound_program_pickles(self):
-        """Pickled with its model, a bound program routes the copy.
-
-        Linear executors hold no plan-cache lock, so they pickle."""
+        """Pickled with its model, a bound program routes the copy."""
         model = nn.Sequential(nn.Linear(4, 3, rng=np.random.default_rng(1)))
         x = _input((2, 4))
         program = LoweredProgram({"0": QuantizedLinear.from_float(
@@ -280,3 +279,42 @@ class TestBinding:
         with program_copy.attached(model_copy):
             np.testing.assert_array_equal(model_copy(x).data, expected)
         assert _instance_forwards(model_copy) == []
+
+    def test_lowered_detector_program_pickles(self):
+        """A program holding conv, deconv and linear executors — the
+        lowered tiny PointPillars plus a linear executor — round-trips
+        through ``pickle`` with warm plan memos, and the copy gives
+        byte-equal head outputs.  Executors carry no lock: the memo
+        lock is module-level."""
+        from repro.core import UPAQCompressor
+        from repro.fuzzing import build_fuzz_model, build_preset_config
+        from repro.ir.lowering import lower_executors
+        from repro.pointcloud import SceneGenerator
+
+        base = build_fuzz_model("tiny")
+        outcome = UPAQCompressor(build_preset_config("hck")).compress(
+            base, *base.example_inputs())
+        model = outcome.model
+        model.eval()
+        executors = lower_executors(outcome.ir, model)
+        x = _input((3, 4))
+        executors["probe"] = QuantizedLinear.from_float(
+            nn.Linear(4, 2, rng=np.random.default_rng(0)),
+            activation_scale(x.data))
+        kinds = {type(e).__name__ for e in executors.values()}
+        assert kinds == {"QuantizedConv2d", "QuantizedConvTranspose2d",
+                         "QuantizedLinear"}
+        program = LoweredProgram(executors)
+        scene = SceneGenerator(seed=0).generate(0, with_image=False)
+
+        def head(program, model):
+            with program.attached(model), nn.no_grad():
+                out = model.forward(*model.preprocess(scene))
+            return {key: out[key].data.tobytes() for key in sorted(out)}
+
+        expected = head(program, model)
+        probe = program.executors["probe"](x).data.tobytes()
+        program_copy, model_copy = pickle.loads(pickle.dumps(
+            (program, model)))
+        assert head(program_copy, model_copy) == expected
+        assert program_copy.executors["probe"](x).data.tobytes() == probe

@@ -6,9 +6,10 @@ Pinned here:
   2's four pattern families implies, at 4/8/16-bit weights;
 * the saturation rate is exactly 0 when the calibration scale covers
   the input range, and positive when it does not;
-* passing counters never perturbs an output bit — forward and
-  reference stay bit-for-bit identical with telemetry on, and both
-  modes report identical counters;
+* passing counters never perturbs an output bit — ``forward`` stays
+  bit-for-bit equal to the independent int64 oracle with telemetry
+  on, and both execution modes of a program report the oracle's
+  counters;
 * MAC counts and accumulator extrema match an independent recompute,
   and the accumulator headroom certifies the 2^53 exactness bound.
 """
@@ -24,8 +25,10 @@ from repro.nn.quantized import (QuantizedConv2d, QuantizedConvTranspose2d,
                                 QuantizedLinear, activation_scale,
                                 quantize_activation)
 from repro.nn.tensor import Tensor
+from repro.runtime.executors import EXECUTION_MODES, LoweredProgram
 from repro.runtime.telemetry import (ACC_EXACT_BITS, LayerTelemetry,
                                      aggregate_telemetry)
+from tests.nn.quantized_oracle import conv_oracle
 
 BITS = (4, 8, 16)
 KERNEL = 3
@@ -175,25 +178,28 @@ class TestCountersDoNotPerturb:
         q = QuantizedConv2d.from_float(
             conv, activation_scale(x.data, max(8, bits)),
             weight_bits=bits, activation_bits=max(8, bits))
-        bare_fwd = q.forward(x).data
-        bare_ref = q.reference(x).data
+        bare = q.forward(x).data
         telemetry = LayerTelemetry()
-        np.testing.assert_array_equal(
-            q.forward(x, telemetry=telemetry).data, bare_fwd)
-        np.testing.assert_array_equal(
-            q.reference(x, telemetry=telemetry).data, bare_ref)
+        counted = q.forward(x, telemetry=telemetry).data
+        assert counted.tobytes() == bare.tobytes()
+        assert counted.tobytes() == conv_oracle(q, x.data)[0].tobytes()
 
     def test_both_modes_report_identical_counters(self):
+        """``execution="lowered"`` and ``"reference"`` run one path, so
+        a program in either mode counts exactly the oracle's values."""
         rng = np.random.default_rng(23)
         conv, _, _ = _patterned_conv("column", rng)
+        model = nn.Sequential(conv)
         x = Tensor(_input((1, 3, 6, 6)))
         q = QuantizedConv2d.from_float(conv, activation_scale(x.data),
                                        weight_bits=8)
-        fwd_tele = LayerTelemetry()
-        q.forward(x, telemetry=fwd_tele)
-        ref_tele = LayerTelemetry()
-        q.reference(x, telemetry=ref_tele)
-        assert fwd_tele == ref_tele
+        _, expected = conv_oracle(q, x.data)
+        expected.layer = "0"
+        for mode in EXECUTION_MODES:
+            store = {}
+            with LoweredProgram({"0": q}, mode=mode).attached(model, store):
+                model(x)
+            assert store["0"] == expected
 
 
 class TestMacsAndAccumulator:
@@ -219,9 +225,9 @@ class TestMacsAndAccumulator:
                                        weight_bits=8)
         telemetry = LayerTelemetry()
         q.forward(x, telemetry=telemetry)
-        acc = q._accumulate(x.data, np.int64)
-        assert telemetry.acc_min == int(acc.min())
-        assert telemetry.acc_max == int(acc.max())
+        _, expected = conv_oracle(q, x.data)
+        assert telemetry.acc_min == expected.acc_min
+        assert telemetry.acc_max == expected.acc_max
         assert telemetry.headroom_bits > 0
         assert telemetry.acc_absmax < 2 ** ACC_EXACT_BITS
 
