@@ -13,8 +13,9 @@ from repro.core import UPAQCompressor, hck_config, pack_model
 from repro.hardware import default_devices
 from repro.models import PointPillars
 from repro.pointcloud import SceneGenerator
-from repro.runtime import (DegradationPolicy, FaultInjector, FaultSpec,
-                           InferenceEngine)
+from repro.runtime import (DegradationLadder, DegradationPolicy,
+                           FaultInjector, FaultSpec, InferenceEngine,
+                           LadderRung)
 
 
 def main() -> None:
@@ -57,16 +58,22 @@ def main() -> None:
     # 5. The same stream under chaos: seeded sensor faults (frame drops,
     #    NaN-corrupted point clouds, latency jitter) with a degradation
     #    policy that holds the last good detections over corrupt frames,
-    #    and a deadline watchdog ready to swap in a fallback model.
+    #    and a deadline watchdog ready to swap in a fallback model: a
+    #    two-rung ladder whose primary is the architecture the blob is
+    #    restored into.
     chaos = FaultInjector(FaultSpec(drop_rate=0.2, corrupt_rate=0.1,
                                     jitter="lognormal",
                                     jitter_scale_s=0.002, seed=11))
+    restored = PointPillars(seed=0)
+    ladder = DegradationLadder([LadderRung(name="hck", model=restored),
+                                LadderRung(name="fallback",
+                                           model=report.model)],
+                               promote_after=0, probation=0)
     hardened = InferenceEngine.from_packed(
-        blob, PointPillars(seed=0), jetson, deadline_s=0.05,
+        blob, restored, jetson, deadline_s=0.05,
         policy=DegradationPolicy(on_corrupt="last_good",
                                  max_consecutive_misses=3),
-        fault_injector=chaos,
-        fallback_model=report.model)
+        fault_injector=chaos, ladder=ladder)
     degraded = hardened.run(scenes)
     print(f"under injected faults: {degraded.summary()}")
     print("same seed → same fault schedule → identical report: "

@@ -193,17 +193,23 @@ def _cmd_stream(args) -> int:
         print("error: --ladder needs --archive (rung names index "
               "archive entries)", file=sys.stderr)
         return 2
+    try:
+        policy = DegradationPolicy(on_corrupt=args.on_corrupt,
+                                   max_consecutive_misses=args.miss_limit)
+        injector = None
+        if args.inject_faults:
+            injector = FaultInjector(FaultSpec(
+                drop_rate=args.drop_rate, corrupt_rate=args.corrupt_rate,
+                jitter="lognormal" if args.jitter_ms > 0 else "none",
+                jitter_scale_s=args.jitter_ms / 1e3, seed=args.fault_seed))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     presets = {"hck": hck_config, "lck": lck_config}
     with_image = args.model == "smoke"
     model = None
-    fallback = None
     ladder = None
     if args.archive:
-        if args.fallback_model != "none":
-            print("error: --fallback-model conflicts with --archive; "
-                  "the ladder already orders the fallbacks",
-                  file=sys.stderr)
-            return 2
         from repro.core import ArchiveError, ArchiveReader
         from repro.runtime import DegradationLadder
         try:
@@ -232,24 +238,11 @@ def _cmd_stream(args) -> int:
         if args.preset != "none":
             model = UPAQCompressor(presets[args.preset]()).compress(
                 model, *model.example_inputs()).model
-        if args.fallback_model != "none":
-            base = _build_stream_model(args.model)
-            fallback = UPAQCompressor(
-                presets[args.fallback_model]()).compress(
-                base, *base.example_inputs()).model
 
-    injector = None
-    if args.inject_faults:
-        injector = FaultInjector(FaultSpec(
-            drop_rate=args.drop_rate, corrupt_rate=args.corrupt_rate,
-            jitter="lognormal" if args.jitter_ms > 0 else "none",
-            jitter_scale_s=args.jitter_ms / 1e3, seed=args.fault_seed))
-    policy = DegradationPolicy(on_corrupt=args.on_corrupt,
-                               max_consecutive_misses=args.miss_limit)
     engine = InferenceEngine(model, default_devices()[args.device],
                              deadline_s=args.deadline_ms / 1e3,
                              policy=policy, fault_injector=injector,
-                             fallback_model=fallback, ladder=ladder,
+                             ladder=ladder,
                              execution=args.execution,
                              trace=bool(args.trace),
                              telemetry=args.telemetry,
@@ -260,12 +253,8 @@ def _cmd_stream(args) -> int:
     report = engine.run(scenes)
     print(report.summary())
     if engine.on_fallback:
-        if ladder is not None:
-            print(f"stream ended on rung {engine.active_rung!r} after "
-                  f"repeated deadline misses")
-        else:
-            print(f"watchdog swapped to the {args.fallback_model.upper()} "
-                  f"fallback model after repeated deadline misses")
+        print(f"stream ended on rung {engine.active_rung!r} after "
+              f"repeated deadline misses")
     if args.swap_report:
         import json
         payload = {
@@ -789,11 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["last_good", "skip"],
                    help="degradation policy for corrupt frames")
     p.add_argument("--miss-limit", type=int, default=3,
-                   help="consecutive deadline misses arming the watchdog "
-                        "(0 disables)")
-    p.add_argument("--fallback-model", default="none",
-                   choices=["none", "hck", "lck"],
-                   help="preset compressed as the watchdog fallback")
+                   help="consecutive deadline misses that demote the "
+                        "watchdog one ladder rung (0 disables)")
     p.add_argument("--execution", default="reference",
                    choices=EXECUTION_MODES,
                    help="execution mode name; both values run the "
@@ -815,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model-variant archive (see `repro "
                         "pack-archive`); the stream runs a degradation "
                         "ladder of its entries instead of a single "
-                        "model")
+                        "model, so the watchdog has rungs to fall back "
+                        "to")
     p.add_argument("--ladder", default=None, metavar="RUNGS",
                    help="CSV of archive entry names ordering the "
                         "ladder, primary first (default: every entry "

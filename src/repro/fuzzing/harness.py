@@ -9,7 +9,7 @@ For each ``scenario × preset × condition`` cell the harness
    sweep; compression is itself deterministic),
 3. streams the scenes through an :class:`~repro.runtime.InferenceEngine`
    configured by the condition (faults, deadline, batching, watchdog
-   fallback), and
+   degradation ladder), and
 4. distills the :class:`~repro.runtime.StreamReport` into per-cell
    metrics — mAP via :func:`repro.detection.evaluate_map`, stratified
    difficulty mAPs, p50/p99 device latency, deadline hit rate, frame
@@ -107,7 +107,7 @@ def _nan_safe(mapping: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _build_engine(model, ir, condition, device, execution, seed_value,
-                  fallback, ladder=None):
+                  ladder=None):
     from repro.hardware import default_devices
     from repro.runtime import (DegradationPolicy, FaultInjector, FaultSpec,
                                InferenceEngine)
@@ -131,7 +131,7 @@ def _build_engine(model, ir, condition, device, execution, seed_value,
     return InferenceEngine(model, default_devices()[device],
                            deadline_s=condition.deadline_ms / 1e3,
                            policy=policy, fault_injector=injector,
-                           fallback_model=fallback, ladder=ladder,
+                           ladder=ladder,
                            cost_hook=cost_hook,
                            execution=execution,
                            batch_size=condition.batch_size, ir=ir)
@@ -253,10 +253,6 @@ def run_fuzz(config: FuzzConfig | None = None, progress=None) -> FuzzReport:
         condition = CONDITIONS[condition_name]
         key = cell_key(scenario, preset, condition_name)
         model, ir = model_for(preset)
-        fallback = None
-        if condition.fallback_preset \
-                and condition.fallback_preset != preset:
-            fallback = model_for(condition.fallback_preset)[0]
         ladder = None
         if condition.ladder_presets:
             from repro.runtime import DegradationLadder, LadderRung
@@ -272,7 +268,7 @@ def run_fuzz(config: FuzzConfig | None = None, progress=None) -> FuzzReport:
                 probation=condition.probation)
         engine = _build_engine(model, ir, condition, config.device,
                                config.execution,
-                               cell_seed(config.seed, key), fallback,
+                               cell_seed(config.seed, key),
                                ladder=ladder)
         scenes = scenes_for(scenario)
         stream = engine.run(scenes)

@@ -92,8 +92,6 @@ class RuntimeCondition:
     jitter_ms: float = 0.0
     on_corrupt: str = "last_good"
     miss_limit: int = 3
-    #: preset compressed as the deadline watchdog's fallback model
-    fallback_preset: str | None = None
     #: lower rungs of a degradation ladder (the cell's preset is the
     #: primary rung; it is skipped here if repeated)
     ladder_presets: tuple | None = None
@@ -126,7 +124,7 @@ CONDITIONS: dict[str, RuntimeCondition] = {
         name="pressure",
         description="impossible deadline: every frame misses, arming the "
                     "watchdog swap to a 4-bit fallback after 2 misses",
-        deadline_ms=1e-3, miss_limit=2, fallback_preset="hck-4bit"),
+        deadline_ms=1e-3, miss_limit=2, ladder_presets=("hck-4bit",)),
     "batched": RuntimeCondition(
         name="batched",
         description="clean stream through a batch-3 micro-batching window",

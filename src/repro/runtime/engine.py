@@ -15,12 +15,12 @@ empty frame — and a deadline watchdog walks a
 execution to the next-cheaper rung (zero-retrace, via each rung's
 pre-extracted :class:`~repro.ir.ModelIR`), consecutive on-deadline
 frames promote it back up through a probation window, and every swap is
-recorded as a :class:`SwapEvent`.  The single ``fallback_model`` of the
-original watchdog is the degenerate two-rung, never-promote ladder and
-keeps its exact semantics.  Every degraded path leaves an explicit
-trace in :class:`FrameRecord.status` / :class:`FrameRecord.rung` and
-the :class:`StreamReport` counters, so graceful degradation is
-measurable rather than anecdotal (see ``docs/ROBUSTNESS.md``).
+recorded as a :class:`SwapEvent`.  An engine built without a ladder
+runs a one-rung ladder, so its watchdog only counts misses.  Every
+degraded path leaves an explicit trace in :class:`FrameRecord.status` /
+:class:`FrameRecord.rung` and the :class:`StreamReport` counters, so
+graceful degradation is measurable rather than anecdotal (see
+``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class FrameRecord:
     #: prediction instead of stalling its stream.
     status: str = "ok"
     #: True while the watchdog has execution on any rung below the
-    #: primary (the legacy "on the fallback model" flag).
+    #: primary.
     fallback: bool = False
     #: Name of the ladder rung that served this frame; ``None`` on the
     #: primary.  Makes mixed-rung streams attributable per frame.
@@ -112,8 +112,8 @@ class DegradationLadder:
     ``rungs[0]`` is the primary; each later rung is the next-cheaper
     variant to demote to (e.g. LCK-16 → LCK-8 → HCK-8 → HCK-4).
     ``promote_after`` consecutive on-deadline frames on a lower rung
-    promote execution one rung back up (``0`` disables promotion — the
-    legacy one-way watchdog).  Each promotion opens a ``probation``
+    promote execution one rung back up (``0`` disables promotion: the
+    watchdog swaps one way).  Each promotion opens a ``probation``
     window of that many processed frames during which a *single*
     deadline miss demotes immediately, so a rung that only looked
     healthy under falling load cannot flap.
@@ -189,9 +189,9 @@ class DegradationPolicy:
     repeats the most recent valid detections (a tracking-style hold),
     ``skip`` discards the frame entirely (recorded as ``dropped``).
     ``max_consecutive_misses`` arms the deadline watchdog: after that
-    many back-to-back deadline misses the engine swaps to its fallback
-    model (when one was provided at construction).  ``0`` disables the
-    watchdog.
+    many back-to-back deadline misses the engine demotes one rung of
+    its :class:`DegradationLadder` (when the ladder has a rung below
+    the serving one).  ``0`` disables the watchdog.
     """
 
     on_corrupt: str = "last_good"       # "last_good" | "skip"
@@ -212,8 +212,7 @@ class StreamReport:
     frames: list[FrameRecord] = field(default_factory=list)
     predictions: list[DetectionResult] = field(default_factory=list)
     deadline_s: float = 0.1
-    #: Times the watchdog demoted to a lower rung (legacy counter: for
-    #: a single-fallback engine this is the fallback activation count).
+    #: Times the watchdog demoted to a lower rung.
     fallback_activations: int = 0
     #: Every watchdog hot swap, in stream order (demotions *and*
     #: promotions) — the frame that triggered each is recorded, so swap
@@ -472,17 +471,16 @@ class InferenceEngine:
     fault_injector:
         Optional :class:`~repro.runtime.faults.FaultInjector` applied to
         every incoming frame — the chaos-testing hook.
-    fallback_model:
-        Optional cheaper detector (e.g. the HCK preset of the deployed
-        LCK model) the watchdog swaps in after consecutive deadline
-        misses — shorthand for a two-rung, never-promote ``ladder``.
     ladder:
         Optional :class:`DegradationLadder` of model variants.  Rung 0
         is the primary (``model`` may then be ``None``, or must be the
         rung-0 model); consecutive deadline misses demote execution
         rung by rung, and with ``ladder.promote_after > 0`` consecutive
         on-deadline frames promote it back up through a probation
-        window.  Mutually exclusive with ``fallback_model``.
+        window.  A fallback model (e.g. the HCK preset of a deployed
+        LCK model) is a two-rung ladder with ``promote_after=0``.
+        Without a ladder the engine runs ``model`` as a one-rung
+        ladder.
     cost_hook:
         Optional ``(frame_id, latency_s, energy_j) -> (latency_s,
         energy_j)`` callable through which every processed frame's
@@ -529,7 +527,6 @@ class InferenceEngine:
                  deadline_s: float = 0.1,
                  policy: DegradationPolicy | None = None,
                  fault_injector: FaultInjector | None = None,
-                 fallback_model: Detector3D | None = None,
                  cost_hook=None, execution: str = "reference",
                  ir: ModelIR | None = None, trace: bool = False,
                  telemetry: bool = False, batch_size: int = 1,
@@ -541,10 +538,6 @@ class InferenceEngine:
                 or batch_size < 1:
             raise ValueError(
                 f"batch_size must be a positive integer, got {batch_size!r}")
-        if ladder is not None and fallback_model is not None:
-            raise ValueError(
-                "pass either ladder or fallback_model, not both — a "
-                "fallback model is the two-rung ladder")
         if ladder is not None:
             if model is not None and model is not ladder.rungs[0].model:
                 raise ValueError(
@@ -558,7 +551,6 @@ class InferenceEngine:
         self.deadline_s = deadline_s
         self.policy = policy or DegradationPolicy()
         self.fault_injector = fault_injector
-        self.fallback_model = fallback_model
         self.cost_hook = cost_hook
         self.execution = execution
         self.trace = trace
@@ -569,13 +561,9 @@ class InferenceEngine:
         #: instead of being lost with the old program
         self._collectors: dict[str, LayerTelemetry] = {}
         if ladder is None:
-            rungs = [LadderRung(name="primary", model=model, ir=ir)]
-            if fallback_model is not None:
-                rungs.append(LadderRung(name="fallback",
-                                        model=fallback_model))
-            # Legacy semantics: one-way swap, no promotion.
-            ladder = DegradationLadder(rungs, promote_after=0,
-                                       probation=0)
+            ladder = DegradationLadder(
+                [LadderRung(name="primary", model=model, ir=ir)],
+                promote_after=0, probation=0)
         self.ladder = ladder
         self._levels = [_LadderLevel(rung) for rung in ladder.rungs]
         self._active = 0
@@ -591,9 +579,9 @@ class InferenceEngine:
     def _level_ir(self, level: _LadderLevel) -> ModelIR:
         """A level's IR — the single source for its plan + program.
 
-        Extracted lazily only for rungs constructed without one (the
-        legacy ``fallback_model`` path); archive-built ladders carry
-        every rung's IR, so no trace ever happens after construction.
+        Extracted lazily only for rungs constructed without one;
+        archive-built ladders carry every rung's IR, so no trace ever
+        happens after construction.
         """
         if level.ir is None:
             level.ir = extract_ir(level.rung.model,
@@ -1062,8 +1050,8 @@ class InferenceEngine:
         """Demote one rung, recording the swap; False at the bottom.
 
         A failed demotion (already on the last rung) leaves the miss
-        counter untouched — matching the legacy single-fallback
-        behavior where an exhausted ladder keeps the watchdog armed.
+        counter untouched, so an exhausted ladder keeps the watchdog
+        armed.
         """
         if session.active + 1 >= len(self._levels):
             return False
@@ -1093,9 +1081,10 @@ class InferenceEngine:
         ir=...)``), the engine adopts it directly — the plan and the
         lowered executors come from the stored IR, with no re-trace of
         the restored model.  Extra keyword arguments (``policy``,
-        ``fault_injector``, ``fallback_model``, ``cost_hook``,
-        ``execution``, ``trace``, ``telemetry``, ``batch_size``) pass
-        through to the engine.
+        ``fault_injector``, ``ladder``, ``cost_hook``, ``execution``,
+        ``trace``, ``telemetry``, ``batch_size``) pass through to the
+        engine; a ``ladder`` must have ``architecture`` as its rung-0
+        model.
         """
         from repro.core.packing import restore_model
         report = restore_model(blob, architecture)

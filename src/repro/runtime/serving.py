@@ -158,8 +158,7 @@ class ReplicaSpec:
         """Derive a spec from a live engine (models + IRs pickled).
 
         Forces every rung's IR extraction *now*, so even ladders built
-        without pre-extracted IRs (the legacy ``fallback_model`` path)
-        ship one and workers never trace.
+        without pre-extracted IRs ship one and workers never trace.
         """
         rungs = []
         for level in engine._levels:

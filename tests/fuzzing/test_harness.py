@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzzing import (CONDITIONS, FuzzConfig, build_preset_config,
-                           cell_seed, check_gate, load_report, make_baseline,
-                           run_fuzz, write_baseline, write_report)
+from repro.fuzzing import (CONDITIONS, PRESETS, FuzzConfig,
+                           build_preset_config, cell_seed, check_gate,
+                           load_report, make_baseline, run_fuzz,
+                           write_baseline, write_report)
 
 
 def _one_cell(scenario="dense_traffic", preset="hck-4bit",
@@ -91,6 +92,25 @@ class TestRunFuzz:
         assert metrics["deadline_hit_rate"] == 0.0
         assert metrics["missed_deadline_frames"] == 2
 
+    def test_pressure_fallback_rows_match_the_rung_preset(self):
+        # The fallback rung runs the preset's own compressed model and
+        # IR, so a frame it serves scores exactly as that preset does
+        # when it is the primary.
+        report = run_fuzz(FuzzConfig(scenarios=("dense_traffic",),
+                                     presets=("hck", "hck-4bit"),
+                                     conditions=("clean", "pressure"),
+                                     frames_per_cell=3, seed=0))
+        clean = {row["frame_id"]: row for row in report.rows
+                 if row["cell"] == "dense_traffic|hck-4bit|clean"}
+        served = [row for row in report.rows
+                  if row["cell"] == "dense_traffic|hck|pressure"
+                  and row["fallback"]]
+        assert [row["rung"] for row in served] == ["hck-4bit"]
+        for row in served:
+            assert row["max_score"] == clean[row["frame_id"]]["max_score"]
+            assert row["num_detections"] \
+                == clean[row["frame_id"]]["num_detections"]
+
     def test_report_roundtrip(self, clean_report, tmp_path):
         path = tmp_path / "report.json"
         write_report(clean_report, str(path))
@@ -106,9 +126,13 @@ class TestRunFuzz:
 
 
 class TestConditionsRegistry:
-    def test_pressure_fallback_is_known_preset(self):
-        fallback = CONDITIONS["pressure"].fallback_preset
-        assert build_preset_config(fallback) is not None
+    def test_ladder_presets_are_known_presets(self):
+        laddered = {name: condition.ladder_presets
+                    for name, condition in CONDITIONS.items()
+                    if condition.ladder_presets}
+        assert {"pressure", "ladder"} <= set(laddered)
+        for presets in laddered.values():
+            assert set(presets) <= set(PRESETS)
 
     def test_faulty_actually_injects(self):
         assert CONDITIONS["faulty"].injects_faults

@@ -4,8 +4,8 @@ Acceptance for engine-level batching: for any ``batch_size`` the
 stream report — predictions, FrameRecords, telemetry counters,
 fallback bookkeeping — is identical to the ``batch_size=1`` run.
 Faults keep their per-frame semantics: a corrupt frame in the middle
-of a window degrades only itself, and a mid-window watchdog fallback
-re-predicts the remaining frames on the fallback model exactly as
+of a window degrades only itself, and a mid-window watchdog demotion
+re-predicts the remaining frames on the fallback rung exactly as
 sequential execution would have.
 """
 
@@ -20,7 +20,8 @@ from repro.hardware import default_devices
 from repro.models import PointPillars
 from repro.pointcloud import (LidarConfig, PillarConfig, SceneConfig,
                               SceneGenerator)
-from repro.runtime import DegradationPolicy, InferenceEngine
+from repro.runtime import (DegradationLadder, DegradationPolicy,
+                           InferenceEngine, LadderRung)
 
 
 def _tiny_pp(seed=1):
@@ -133,13 +134,17 @@ class TestMidWindowFaults:
 
     def test_watchdog_splits_window(self, compressed, scenes, jetson):
         """An impossible deadline trips the watchdog mid-window; the
-        remaining frames re-run on the fallback model — identical to
+        remaining frames re-run on the fallback rung — identical to
         sequential execution, including the fallback flags."""
         def run(n):
+            ladder = DegradationLadder(
+                [LadderRung(name="primary", model=compressed.model,
+                            ir=compressed.ir),
+                 LadderRung(name="fallback", model=_tiny_pp(seed=5))],
+                promote_after=0, probation=0)
             engine = InferenceEngine(
-                compressed.model, jetson, deadline_s=1e-9,
-                execution="lowered", ir=compressed.ir,
-                fallback_model=_tiny_pp(seed=5),
+                None, jetson, deadline_s=1e-9, execution="lowered",
+                ladder=ladder,
                 policy=DegradationPolicy(max_consecutive_misses=2),
                 batch_size=n)
             report = engine.run(scenes[:6])

@@ -14,8 +14,9 @@ from repro.hardware.device import DeviceModel
 from repro.models import PointPillars
 from repro.pointcloud import (LidarConfig, SceneConfig, SceneGenerator,
                               PillarConfig)
-from repro.runtime import (DegradationPolicy, FaultInjector, FaultSpec,
-                           InferenceEngine, StreamReport)
+from repro.runtime import (DegradationLadder, DegradationPolicy,
+                           FaultInjector, FaultSpec, InferenceEngine,
+                           LadderRung, StreamReport)
 
 
 def _tiny_pp(seed=0):
@@ -23,6 +24,13 @@ def _tiny_pp(seed=0):
         pillar_config=PillarConfig(x_range=(0, 25.6), y_range=(-12.8, 12.8)),
         pfn_channels=8, stage_channels=(8, 16, 32), stage_depths=(1, 1, 1),
         upsample_channels=8, seed=seed)
+
+
+def _fallback_ladder(primary, fallback):
+    """Two rungs, never promoting: the watchdog swaps once and stays."""
+    return DegradationLadder([LadderRung(name="primary", model=primary),
+                              LadderRung(name="fallback", model=fallback)],
+                             promote_after=0, probation=0)
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +157,9 @@ class TestDeadlineWatchdog:
         fast_cost = fast_engine.frame_cost()[0]
         deadline = (slow_cost + fast_cost) / 2
         engine = InferenceEngine(
-            _tiny_pp(), jetson, deadline_s=deadline,
+            None, jetson, deadline_s=deadline,
             policy=DegradationPolicy(max_consecutive_misses=3),
-            fallback_model=compressed)
+            ladder=_fallback_ladder(_tiny_pp(), compressed))
         report = engine.run(scenes[:8])
         assert engine.on_fallback
         assert report.fallback_activations == 1
@@ -171,9 +179,9 @@ class TestDeadlineWatchdog:
 
     def test_miss_limit_zero_never_swaps(self, scenes, jetson):
         engine = InferenceEngine(
-            _tiny_pp(), jetson, deadline_s=1e-9,
+            None, jetson, deadline_s=1e-9,
             policy=DegradationPolicy(max_consecutive_misses=0),
-            fallback_model=_tiny_pp())
+            ladder=_fallback_ladder(_tiny_pp(), _tiny_pp()))
         engine.run(scenes[:4])
         assert not engine.on_fallback
 

@@ -233,12 +233,6 @@ class TestLadderConstruction:
         with pytest.raises(ValueError):
             DegradationLadder([_rung("a", 0)], promote_after=-1)
 
-    def test_ladder_and_fallback_model_are_mutually_exclusive(self):
-        ladder = DegradationLadder([_rung("a", 0)])
-        with pytest.raises(ValueError, match="not both"):
-            InferenceEngine(None, default_devices()["jetson"],
-                            ladder=ladder, fallback_model=_tiny_pp(1))
-
     def test_model_must_be_the_primary_rung(self):
         ladder = DegradationLadder([_rung("a", 0)])
         with pytest.raises(ValueError, match="rung-0"):
@@ -297,39 +291,28 @@ class TestArchiveLadder:
                                            lambda meta: _tiny_pp())
 
 
-class TestLegacyFallbackEquivalence:
-    """``fallback_model=`` is exactly a two-rung, never-promote ladder."""
+class TestOneWayLadder:
+    """A two-rung ``promote_after=0`` ladder: one swap, never back."""
 
-    def _scenes(self, scenes):
-        return scenes[:8]
-
-    def test_same_frames_either_way(self, scenes):
-        primary, fallback = _tiny_pp(0), _tiny_pp(1)
-        hook = _pressure_hook(4)
-        legacy = InferenceEngine(
-            primary, default_devices()["jetson"], deadline_s=0.05,
-            policy=DegradationPolicy(max_consecutive_misses=2),
-            fallback_model=fallback, cost_hook=hook)
+    def _engine(self, hook):
         ladder = DegradationLadder(
-            [LadderRung(name="primary", model=primary),
-             LadderRung(name="fallback", model=fallback)],
+            [LadderRung(name="primary", model=_tiny_pp(0)),
+             LadderRung(name="fallback", model=_tiny_pp(1))],
             promote_after=0, probation=0)
-        laddered = InferenceEngine(
-            None, default_devices()["jetson"], deadline_s=0.05,
-            policy=DegradationPolicy(max_consecutive_misses=2),
-            ladder=ladder, cost_hook=hook)
-        a = legacy.run(self._scenes(scenes))
-        b = laddered.run(self._scenes(scenes))
-        assert a.frames == b.frames
-        assert a.swap_events == b.swap_events
-        assert a.fallback_activations == b.fallback_activations == 1
+        return _engine(ladder, hook)
 
-    def test_legacy_swap_is_recorded_as_a_demotion(self, scenes):
-        engine = InferenceEngine(
-            _tiny_pp(0), default_devices()["jetson"], deadline_s=0.05,
-            policy=DegradationPolicy(max_consecutive_misses=2),
-            fallback_model=_tiny_pp(1), cost_hook=_pressure_hook(99))
-        report = engine.run(self._scenes(scenes))
+    def test_relief_never_promotes(self, scenes):
+        report = self._engine(_pressure_hook(4)).run(scenes[:8])
+        assert report.fallback_activations == 1
+        assert report.promotions == 0
+        assert [r.rung for r in report.frames] \
+            == [None, None] + ["fallback"] * 6
+        assert [r.deadline_met for r in report.frames] \
+            == [False] * 4 + [True] * 4
+
+    def test_swap_is_recorded_as_a_demotion(self, scenes):
+        engine = self._engine(_pressure_hook(99))
+        report = engine.run(scenes[:8])
         assert report.swap_events == [
             SwapEvent(frame_id=1, kind="demote", from_rung=None,
                       to_rung="fallback")]

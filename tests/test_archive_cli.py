@@ -125,13 +125,6 @@ class TestStreamLadderCLI:
         assert main(["stream", "--ladder", "a,b"]) == 2
         assert "--ladder needs --archive" in capsys.readouterr().err
 
-    def test_archive_conflicts_with_fallback_model(self, archive_path,
-                                                   capsys):
-        code = main(["stream", "--archive", str(archive_path),
-                     "--fallback-model", "hck"])
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
-
     def test_unknown_rung_is_an_error(self, archive_path, capsys):
         code = main(["stream", "--archive", str(archive_path),
                      "--ladder", "missing-rung"])

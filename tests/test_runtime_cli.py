@@ -142,7 +142,22 @@ class TestCLI:
         assert args.frames == 12
         assert not args.inject_faults
         assert args.on_corrupt == "last_good"
-        assert args.fallback_model == "none"
+        with pytest.raises(SystemExit) as excinfo:    # fallbacks are rungs
+            build_parser().parse_args(["stream", "--fallback-model", "hck"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--miss-limit", "-1"], "max_consecutive_misses"),
+        (["--inject-faults", "--drop-rate", "2"], "drop_rate"),
+        (["--inject-faults", "--corrupt-rate", "1.5"], "corrupt_rate"),
+        (["--inject-faults", "--jitter-ms", "-1"], "jitter_scale_s"),
+    ])
+    def test_stream_bad_watchdog_or_fault_input_exits_2(
+            self, argv, message, capsys):
+        assert main(["stream", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_stream_rejects_removed_sparse_mode(self):
         with pytest.raises(SystemExit) as excinfo:
