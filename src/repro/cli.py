@@ -177,9 +177,30 @@ def _build_stream_model(name: str):
     return build_model(name)
 
 
+def _deployed_model(name: str, preset: str):
+    """A fresh ``name`` model compressed with ``preset``, plus its IR.
+
+    ``preset`` is a fuzz-preset name (see
+    :func:`repro.fuzzing.build_preset_config`; unknown names raise
+    ``KeyError``), with ``"none"`` or ``"float"`` meaning uncompressed.
+    The IR is the compressor's: it carries the activation scales the
+    archive and every packed blob deploy with, so an engine built from
+    it lowers exactly like the same preset restored from an archive.
+    """
+    from repro.fuzzing import build_preset_config
+    model = _build_stream_model(name)
+    config = None if preset == "none" else build_preset_config(preset)
+    if config is None:
+        from repro.ir import extract_ir
+        return model, extract_ir(model, *model.example_inputs())
+    from repro.core import UPAQCompressor
+    outcome = UPAQCompressor(config).compress(
+        model, *model.example_inputs())
+    return outcome.model, outcome.ir
+
+
 def _cmd_stream(args) -> int:
     """Stream scenes through a deployment engine, optionally under chaos."""
-    from repro.core import UPAQCompressor, hck_config, lck_config
     from repro.hardware import default_devices
     from repro.pointcloud import SceneGenerator
     from repro.runtime import (DegradationPolicy, FaultInjector, FaultSpec,
@@ -205,9 +226,8 @@ def _cmd_stream(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    presets = {"hck": hck_config, "lck": lck_config}
     with_image = args.model == "smoke"
-    model = None
+    model = ir = None
     ladder = None
     if args.archive:
         from repro.core import ArchiveError, ArchiveReader
@@ -234,15 +254,12 @@ def _cmd_stream(args) -> int:
             return 2
         print(f"ladder from {args.archive}: " + " -> ".join(names))
     else:
-        model = _build_stream_model(args.model)
-        if args.preset != "none":
-            model = UPAQCompressor(presets[args.preset]()).compress(
-                model, *model.example_inputs()).model
+        model, ir = _deployed_model(args.model, args.preset)
 
     engine = InferenceEngine(model, default_devices()[args.device],
                              deadline_s=args.deadline_ms / 1e3,
                              policy=policy, fault_injector=injector,
-                             ladder=ladder,
+                             ladder=ladder, ir=ir,
                              execution=args.execution,
                              trace=bool(args.trace),
                              telemetry=args.telemetry,
@@ -298,7 +315,6 @@ def _cmd_serve(args) -> int:
 
     import numpy as np
 
-    from repro.core import UPAQCompressor, hck_config, lck_config
     from repro.hardware import default_devices
     from repro.pointcloud import SceneGenerator
     from repro.runtime import InferenceEngine, ServingEngine
@@ -327,32 +343,19 @@ def _cmd_serve(args) -> int:
         print(f"error: --replicas must be >= 1, got {args.replicas}",
               file=sys.stderr)
         return 2
-    presets = {"hck": hck_config, "lck": lck_config}
-
-    def build_engine():
-        model = _build_stream_model(args.model)
-        if args.preset != "none":
-            model = UPAQCompressor(presets[args.preset]()).compress(
-                model, *model.example_inputs()).model
-        return InferenceEngine(model, default_devices()[args.device],
-                               deadline_s=args.deadline_ms / 1e3,
-                               execution=args.execution,
-                               batch_size=args.batch)
-
-    # The process backend derives replica specs from one engine; the
-    # thread backend needs a factory for replicas > 1 (each replica
-    # attaches to its own model instance).  Compression is seeded, so
-    # factory-built engines are identical.
-    engine = build_engine() \
-        if args.backend == "process" or args.replicas == 1 \
-        else build_engine
+    model, ir = _deployed_model(args.model, args.preset)
+    engine = InferenceEngine(model, default_devices()[args.device],
+                             deadline_s=args.deadline_ms / 1e3,
+                             ir=ir, execution=args.execution,
+                             batch_size=args.batch)
     serving = ServingEngine(engine, replicas=args.replicas,
                             backend=args.backend,
                             max_streams=args.streams,
                             queue_depth=args.queue_depth)
     if args.backend == "process" and serving.backend != "process":
         print("warning: process backend unavailable on this platform; "
-              "fell back to thread replicas", file=sys.stderr)
+              "fell back to thread slots over one engine",
+              file=sys.stderr)
     streams = {}
     for index in range(args.streams):
         generator = SceneGenerator(seed=args.seed + index)
@@ -434,29 +437,23 @@ def _cmd_serve(args) -> int:
 
 def _cmd_pack_archive(args) -> int:
     """Compress preset variants of one model into a variant archive."""
-    from repro.core import ArchiveWriter, UPAQCompressor, pack_model
+    from repro.core import ArchiveWriter, pack_model
     from repro.fuzzing import build_preset_config
-    from repro.ir import extract_ir
 
     variants = [part.strip() for part in args.variants.split(",")
                 if part.strip()]
     if not variants:
         print("error: empty --variants list", file=sys.stderr)
         return 2
-    writer = ArchiveWriter()
     for name in variants:
         try:
-            preset = build_preset_config(name)
+            build_preset_config(name)
         except KeyError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        model = _build_stream_model(args.model)
-        if preset is None:
-            ir = extract_ir(model, *model.example_inputs())
-        else:
-            outcome = UPAQCompressor(preset).compress(
-                model, *model.example_inputs())
-            model, ir = outcome.model, outcome.ir
+    writer = ArchiveWriter()
+    for name in variants:
+        model, ir = _deployed_model(args.model, name)
         blob = pack_model(model, ir=ir)
         writer.add(name, blob, model=args.model, preset=name)
         print(f"  {name:12s} {len(blob) / 1024:8.1f} KiB packed")
@@ -519,18 +516,7 @@ def _cmd_ir_dump(args) -> int:
     """Print a model's extracted IR (nodes, edges, annotations) as JSON."""
     import json
 
-    from repro.ir import extract_ir
-    from repro.models import build_model
-
-    model = build_model(args.model)
-    if args.preset != "none":
-        from repro.core import UPAQCompressor, hck_config, lck_config
-        presets = {"hck": hck_config, "lck": lck_config}
-        report = UPAQCompressor(presets[args.preset]()).compress(
-            model, *model.example_inputs())
-        ir = report.ir
-    else:
-        ir = extract_ir(model, *model.example_inputs())
+    _, ir = _deployed_model(args.model, args.preset)
     indent = None if args.compact else 2
     print(json.dumps(ir.to_json(), indent=indent, sort_keys=True))
     return 0
@@ -849,12 +835,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="thread",
                    choices=["thread", "process"],
                    help="window-execution backend: in-process threads "
-                        "or a pool of replica worker processes "
+                        "over one engine or a pool of replica worker "
+                        "processes "
                         "(GIL-free; falls back to threads when no "
                         "multiprocessing start method is usable)")
     p.add_argument("--replicas", type=int, default=1, metavar="K",
-                   help="replica pool size — windows that may execute "
-                        "concurrently")
+                   help="window slots — windows that may execute "
+                        "concurrently (threads over one engine, or "
+                        "worker processes)")
     p.add_argument("--seed", type=int, default=0,
                    help="scene generator base seed (stream i uses "
                         "seed + i)")

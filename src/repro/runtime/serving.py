@@ -3,9 +3,9 @@
 :class:`~repro.runtime.engine.InferenceEngine` owns one model and one
 stream; real deployments serve many concurrent clients whose frames
 arrive interleaved.  :class:`ServingEngine` multiplexes N client
-streams over a pool of engine replicas (each a compiled
-:class:`~repro.runtime.executors.LoweredProgram` ladder), giving every
-stream its own deadline/SLO, degradation state and
+streams over one engine (one compiled
+:class:`~repro.runtime.executors.LoweredProgram` per ladder rung),
+giving every stream its own deadline/SLO, degradation state and
 :class:`~repro.runtime.engine.StreamReport` while sharing the compiled
 substrate.
 
@@ -26,7 +26,7 @@ state; a small worker pool only executes micro-batch windows:
   fills a ``batch_size=N`` window with head frames from *different*
   streams whose serving rung and scene signature (canvas/feature
   shapes) match, runs the window as one batched lowered pass on a
-  leased replica, and fans the per-frame results back to the owning
+  leased slot, and fans the per-frame results back to the owning
   streams in order.  A window never takes two frames from one stream
   and a stream never has two windows in flight, so per-stream
   semantics (last-good hold, watchdog ladder walk, swap-effective-
@@ -42,8 +42,9 @@ exactly that equivalence, telemetry and swap events included.
 
 Two execution backends share the scheduler:
 
-* ``backend="thread"`` (default) — windows run on a thread pool over
-  in-process engine replicas; wins come from cross-stream batching.
+* ``backend="thread"`` (default) — ``replicas=K`` is K lease slots,
+  each running windows on a worker thread over the caller's one
+  engine; wins come from cross-stream batching.
 * ``backend="process"`` — windows run in worker *processes*, each
   holding its own replica built once from a pickled
   :class:`ReplicaSpec` (models + blob-v4-round-tripped IRs, so workers
@@ -55,8 +56,9 @@ Two execution backends share the scheduler:
   solo runs.  Resilience follows :mod:`repro.core.search`: per-window
   timeout (local re-execution), ``BrokenProcessPool`` →
   respawn-and-redispatch, and graceful fallback to the thread backend
-  when no multiprocessing start method is usable
-  (``ServingStats.backend`` records what actually ran).
+  — the same K slots over the one engine, building nothing — when no
+  multiprocessing start method is usable (``ServingStats.backend``
+  records what actually ran).
 
 Two scheduler policies ride on top (both backends): **rung-aware
 co-batching** — streams the ladder demoted to the same rung bucket
@@ -364,7 +366,8 @@ class ServingStats:
     #: ``backend="process"`` requests when the platform forced the
     #: graceful fallback.
     backend: str = "thread"
-    #: Replica-pool size (concurrent-window bound).
+    #: Lease slots (concurrent-window bound): threads over the one
+    #: engine, or worker processes.
     replicas: int = 1
     streams_opened: int = 0
     frames_submitted: int = 0
@@ -461,8 +464,8 @@ class _Window:
         self.rung = rung
         self.members = members
         #: the owning stream's live counter map for telemetry windows
-        #: (thread backend counts into it directly; the process backend
-        #: merges the worker's returned delta into it), else ``None``
+        #: (local runs count into it directly; a process worker's
+        #: returned delta is merged into it), else ``None``
         self.collectors = collectors
         self.want_telemetry = collectors is not None
 
@@ -536,29 +539,27 @@ class ServingEngine:
     engine:
         The wrapped :class:`InferenceEngine` (its deadline, policy,
         injector, execution mode and ``batch_size`` become the
-        defaults every stream inherits), or a zero-argument factory
-        returning identical engines — the thread backend requires a
-        factory for ``replicas > 1``, one engine per replica slot
-        (the process backend
-        accepts an instance at any replica count: workers build their
-        own from the spec).  Engines must be constructed with
-        ``telemetry=False``: per-stream telemetry flows through
-        :class:`StreamSLO` instead, so streams never share counters.
+        defaults every stream inherits).  It is the only engine this
+        process runs: every thread slot executes its windows on it.
+        It must be constructed with ``telemetry=False``: per-stream
+        telemetry flows through :class:`StreamSLO` instead, so streams
+        never share counters.
     replicas:
-        Size of the worker/replica pool — the number of windows that
-        may execute concurrently.
+        Number of lease slots — the number of windows that may execute
+        concurrently (K threads over the one engine, or K worker
+        processes).
     max_streams:
         Admission bound on concurrently open streams.
     queue_depth:
         Default per-stream pipeline bound (see :class:`StreamSLO`).
     backend:
-        ``"thread"`` (default) executes windows on an in-process
-        thread pool; ``"process"`` on a pool of worker processes each
+        ``"thread"`` (default) executes windows on K threads over the
+        one engine; ``"process"`` on a pool of worker processes each
         holding a :class:`ReplicaSpec`-built replica (GIL-free window
         execution).  When no multiprocessing start method is usable
-        the engine falls back to the thread backend — building the
-        replicas locally from the spec — and records the actual
-        backend in :class:`ServingStats`.
+        the engine falls back to the thread backend — the same K
+        slots over the one engine — and records the actual backend in
+        :class:`ServingStats`.
     spec:
         Optional explicit :class:`ReplicaSpec` for the process
         backend (e.g. :meth:`ReplicaSpec.from_archive` so workers
@@ -579,7 +580,7 @@ class ServingEngine:
     pre-warmed at construction, so workers never race a lazy build.
     """
 
-    def __init__(self, engine, *, replicas: int = 1,
+    def __init__(self, engine: InferenceEngine, *, replicas: int = 1,
                  max_streams: int = 16, queue_depth: int = 8,
                  backend: str = "thread",
                  spec: ReplicaSpec | None = None,
@@ -601,6 +602,14 @@ class ServingEngine:
         if window_timeout_s <= 0:
             raise ValueError(
                 f"window_timeout_s must be > 0, got {window_timeout_s!r}")
+        if not isinstance(engine, InferenceEngine):
+            raise TypeError(f"engine must be an InferenceEngine, got "
+                            f"{type(engine).__name__}")
+        if engine.telemetry:
+            raise ValueError(
+                "serving engines must wrap telemetry=False engines; "
+                "per-stream telemetry is configured via StreamSLO")
+        self._engine = engine
         self._backend = backend
         self._replicas = replicas
         self._window_timeout_s = window_timeout_s
@@ -611,62 +620,23 @@ class ServingEngine:
         self._pool_generation = 0
         self._worker_pids: list[int] = []
         if backend == "process":
-            primary = engine if isinstance(engine, InferenceEngine) \
-                else engine()
             self._spec = spec if spec is not None \
-                else ReplicaSpec.from_engine(primary)
+                else ReplicaSpec.from_engine(engine)
             # Fail at construction, never mid-stream, when the spec
             # cannot cross the process boundary.
             self._spec_bytes = pickle.dumps(self._spec)
             # The pool must exist (and its workers fork) before the
             # scheduler/worker threads below start — fork-after-threads
-            # is the classic multiprocessing deadlock.
-            if self._start_pool_locked(replicas):
-                pool = [primary]
-            else:
-                # Graceful fallback: no usable start method (or the
-                # pool refused to come up) — build the replicas
-                # locally and serve on threads instead of failing.
-                # Each replica comes from a pickle round-trip of the
-                # spec, exactly as a worker process would build it.
+            # is the classic multiprocessing deadlock.  Graceful
+            # fallback: with no usable start method (or a pool that
+            # refused to come up) the same slots serve on threads.
+            if not self._start_pool_locked(replicas):
                 self._backend = "thread"
-                pool = [primary] + [
-                    pickle.loads(self._spec_bytes).build()
-                    for _ in range(replicas - 1)]
-        elif isinstance(engine, InferenceEngine):
-            if replicas != 1:
-                raise ValueError(
-                    "replicas > 1 needs an engine factory on the thread "
-                    "backend — one engine per replica slot "
-                    "(or use backend='process')")
-            pool = [engine]
-        else:
-            pool = [engine() for _ in range(replicas)]
-        primary = pool[0]
-        for replica in pool:
-            if not isinstance(replica, InferenceEngine):
-                raise TypeError(
-                    f"engine (factory) must yield InferenceEngine, "
-                    f"got {type(replica).__name__}")
-            if replica.telemetry:
-                raise ValueError(
-                    "serving engines must wrap telemetry=False engines; "
-                    "per-stream telemetry is configured via StreamSLO")
-            if len(replica._levels) != len(primary._levels) \
-                    or replica.execution != primary.execution \
-                    or replica.batch_size != primary.batch_size:
-                raise ValueError(
-                    "replica engines must be identical (ladder depth, "
-                    "execution mode, batch_size)")
-            # Pre-warm every rung's compiled state so worker threads
-            # never race a lazy IR extraction / lowering.
-            for level in replica._levels:
-                replica._level_costs(level)
-                replica._level_program(level)
-        self._engine = primary
-        #: in-process replica engines, indexed by slot (thread backend;
-        #: the process backend keeps only the scheduler's own engine)
-        self._replica_engines: list[InferenceEngine] = pool
+        # Pre-warm every rung's compiled state so concurrent windows
+        # never race a lazy IR extraction / lowering.
+        for level in engine._levels:
+            engine._level_costs(level)
+            engine._level_program(level)
         self._default_queue_depth = queue_depth
         self.max_streams = max_streams
         self._lock = threading.Lock()
@@ -674,16 +644,15 @@ class ServingEngine:
         self._lanes: dict[str, _Lane] = {}
         #: free replica *slots* — just lease tokens bounding concurrent
         #: windows; the process pool does its own worker scheduling
-        slots = replicas if self._backend == "process" else len(pool)
-        self._free_replicas: list[int] = list(range(slots))
+        self._free_replicas: list[int] = list(range(replicas))
         self._completions: deque = deque()
         self._inflight_windows = 0
-        self._stats = ServingStats(backend=self._backend, replicas=slots)
+        self._stats = ServingStats(backend=self._backend, replicas=replicas)
         self._stopping = False
         self._fatal: BaseException | None = None
         self._rotate = 0
         self._workers = concurrent.futures.ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="repro-serve")
+            max_workers=replicas, thread_name_prefix="repro-serve")
         self._scheduler = threading.Thread(
             target=self._loop, name="repro-serve-scheduler", daemon=True)
         self._scheduler.start()
@@ -1096,17 +1065,12 @@ class ServingEngine:
         window.
         """
         delta = None
-        key = "local"
+        key = f"replica{window.slot}"
         try:
             if self._backend == "process":
                 results, delta, key = self._execute_process(window)
             else:
-                replica = self._replica_engines[window.slot]
-                key = f"replica{window.slot}"
-                results = replica._window_results(
-                    replica._levels[window.rung],
-                    [member.scene for member in window.members],
-                    collectors=window.collectors)
+                results = self._run_local(window)
         except BaseException as exc:    # propagate, never hang clients
             results = exc
         with self._cond:
@@ -1156,15 +1120,20 @@ class ServingEngine:
                 continue
             except BaseException as exc:
                 return exc, None, "local"
-        # Local fallback: the scheduler's own engine runs the window in
-        # this worker thread.  Concurrent fallbacks may run on that one
-        # engine at once: attachment never mutates the model or the
-        # program, and each window counts into its own collector map.
-        collectors: dict | None = {} if window.want_telemetry else None
-        results = self._engine._window_results(
-            self._engine._levels[window.rung], scenes,
-            collectors=collectors)
-        return results, collectors, "local"
+        return self._run_local(window), None, "local"
+
+    def _run_local(self, window: _Window) -> list:
+        """Run a window in this thread on the one in-process engine.
+
+        Any number of windows may run on that engine at once:
+        attachment never mutates the model or the program.  Telemetry
+        counts straight into the owning stream's collectors, which is
+        race-free because a stream never has two windows in flight.
+        """
+        return self._engine._window_results(
+            self._engine._levels[window.rung],
+            [member.scene for member in window.members],
+            collectors=window.collectors)
 
     def _drain_completions_locked(self) -> None:
         """Fan finished windows' results back to their owning streams.

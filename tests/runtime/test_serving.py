@@ -379,8 +379,10 @@ def test_shutdown_refuses_new_work(compressed, jetson):
 
 def test_serving_engine_rejects_bad_construction(compressed, jetson):
     engine = _solo_engine(compressed, jetson)
+    with pytest.raises(TypeError, match="InferenceEngine"):
+        ServingEngine(lambda: engine)   # engines, not engine factories
     with pytest.raises(ValueError, match="replicas"):
-        ServingEngine(engine, replicas=2)   # instance, not a factory
+        ServingEngine(engine, replicas=0)
     with pytest.raises(ValueError, match="telemetry"):
         ServingEngine(_solo_engine(compressed, jetson, telemetry=True))
     with pytest.raises(ValueError, match="max_streams"):
@@ -389,18 +391,33 @@ def test_serving_engine_rejects_bad_construction(compressed, jetson):
         ServingEngine(engine, queue_depth=0)
 
 
-def test_replica_pool_from_factory(compressed, jetson):
-    """A factory-built replica pool executes windows concurrently and
-    stays byte-equal to solo."""
-    streams = _scene_streams(count=2, frames=4)
-
-    def factory():
-        return _solo_engine(compressed, jetson)
-
-    with ServingEngine(factory, replicas=2) as serving:
-        reports = serving.serve(streams)
+def test_thread_slots_share_one_engine(compressed, jetson):
+    """Four thread slots run windows concurrently on the caller's one
+    engine, and every report — the telemetry stream's counters
+    included — stays byte-equal to a solo run."""
+    streams = _scene_streams(count=7, frames=6)
+    slos = {"s6": StreamSLO(telemetry=True)}
+    engine = _solo_engine(compressed, jetson, batch_size=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave the slots finely
+    try:
+        with ServingEngine(engine, replicas=4) as serving:
+            reports = serving.serve(streams, slos=slos)
+            stats = serving.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.backend == "thread"
+    assert stats.replicas == 4
+    assert stats.frames_completed == 42
+    assert set(stats.windows_by_replica) <= {
+        f"replica{slot}" for slot in range(4)}
     for name, scenes in streams.items():
-        ref = _solo_engine(compressed, jetson).run(scenes)
+        if name in slos:
+            ref = _solo_engine(compressed, jetson, batch_size=1,
+                               telemetry=True).run(scenes)
+            assert reports[name].telemetry
+        else:
+            ref = _solo_engine(compressed, jetson, batch_size=2).run(scenes)
         _assert_reports_equal(reports[name], ref)
 
 

@@ -227,9 +227,15 @@ def test_worker_kill_and_recover_byte_equal(compressed, jetson):
 
 def test_no_start_method_falls_back_to_thread(compressed, jetson,
                                               monkeypatch):
-    """No usable fork/spawn: backend='process' degrades to threads —
-    replicas built locally from the spec — and still serves correctly."""
+    """No usable fork/spawn: backend='process' degrades to the same two
+    slots as threads over the caller's one engine — building no engine
+    from the spec — and still serves byte-equal."""
     monkeypatch.setattr(serving_mod, "_resolve_mp_context", lambda: None)
+
+    def no_build(self):
+        raise AssertionError("the thread fallback must build no engine")
+
+    monkeypatch.setattr(ReplicaSpec, "build", no_build)
     streams = _scene_streams(count=2, frames=3)
     engine = _solo_engine(compressed, jetson)
     with ServingEngine(engine, backend="process",

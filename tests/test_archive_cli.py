@@ -114,6 +114,29 @@ class TestStreamLadderCLI:
                   for e in payload["swap_events"]]
         assert events == transitions
 
+    def test_preset_stream_scores_like_its_archived_variant(
+            self, tmp_path, capsys):
+        """`stream --preset hck` deploys the compressor's IR, so its
+        executors (activation scales included) match the same preset
+        restored from `pack-archive`: the telemetry digests agree."""
+        archive = tmp_path / "hck.upak"
+        assert main(["pack-archive", "--model", "tiny",
+                     "--variants", "hck", "--out", str(archive)]) == 0
+        capsys.readouterr()
+        common = ["stream", "--model", "tiny", "--frames", "4",
+                  "--telemetry"]
+
+        def digest(extra):
+            assert main(common + extra) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines
+                    if line.startswith(("stream:", "telemetry:"))]
+
+        solo = digest(["--preset", "hck"])
+        archived = digest(["--archive", str(archive), "--ladder", "hck"])
+        assert any(line.startswith("telemetry:") for line in solo)
+        assert solo == archived
+
     def test_default_ladder_is_every_entry(self, archive_path, capsys):
         code = main(["stream", "--model", "tiny", "--frames", "2",
                      "--archive", str(archive_path),
