@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.quantizer import quantize_to_int
 from repro.nn.module import routed
+from repro.nn.tensor import enable_grad
 
 from .base import CompressionFramework, register_framework
 
@@ -85,7 +86,12 @@ class LidarPTQ(CompressionFramework):
         self.calibration_scenes = calibration_scenes or []
 
     def _collect_calibration(self, model, *example_inputs) -> dict:
-        """Capture per-layer input activations on calibration data."""
+        """Capture per-layer input activations on calibration data.
+
+        The forwards run with grad enabled whatever the caller's mode,
+        so the moments come from the graph path (the PFN's dense pillar
+        grid), not the real-point inference path.
+        """
         captured: dict[str, list] = {}
 
         def make_hook(name, module):
@@ -103,7 +109,7 @@ class LidarPTQ(CompressionFramework):
 
         hooks = {module: make_hook(name, module)
                  for name, module in self._kernel_layers(model).items()}
-        with routed(hooks):
+        with routed(hooks), enable_grad():
             runs = []
             if self.calibration_scenes and hasattr(model, "preprocess"):
                 runs = [model.preprocess(s) for s in self.calibration_scenes]

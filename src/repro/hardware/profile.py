@@ -23,6 +23,7 @@ import numpy as np
 from repro.nn.graph import KERNEL_LAYER_TYPES
 from repro.nn.layers import Conv2d, ConvTranspose2d, _BatchNorm
 from repro.nn.module import Module, routed
+from repro.nn.tensor import enable_grad
 
 __all__ = ["LayerProfile", "ModelProfile", "profile_model", "profiling"]
 
@@ -98,9 +99,12 @@ def profiling(model: Module, name: str | None = None):
 
     Any forward passes run inside the ``with`` block, in the same
     thread, append their per-layer stats — this is how IR extraction
-    profiles the *same* forward it traces.  The hooks run through the
-    layer-call seam (:func:`repro.nn.module.routed`), so the model is
-    never patched and other threads' forwards are not recorded.
+    profiles the *same* forward it traces.  They run with grad enabled
+    whatever the caller's mode, so they take the graph path (e.g. the
+    PFN over its dense pillar grid) that the IR describes.  The hooks
+    run through the layer-call seam (:func:`repro.nn.module.routed`),
+    so the model is never patched and other threads' forwards are not
+    recorded.
     """
     profile = ModelProfile(model_name=name or getattr(model, "name",
                                                       type(model).__name__))
@@ -161,7 +165,7 @@ def profiling(model: Module, name: str | None = None):
             hooks[module] = make_hook(layer_name, module)
         elif isinstance(module, _BatchNorm):
             hooks[module] = make_norm_hook(module)
-    with routed(hooks):
+    with routed(hooks), enable_grad():
         yield profile
 
 

@@ -15,10 +15,10 @@ from .layers import (Add, AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
                      Linear, MaxPool2d, ReLU, Sigmoid, UpsampleNearest2d)
 from .module import Module, Parameter, Sequential
 from .serialization import load_model, load_state, save_model, save_state
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, enable_grad, no_grad
 
 __all__ = [
-    "Tensor", "no_grad", "Module", "Parameter", "Sequential",
+    "Tensor", "no_grad", "enable_grad", "Module", "Parameter", "Sequential",
     "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm1d", "BatchNorm2d",
     "ReLU", "LeakyReLU", "Sigmoid", "MaxPool2d", "AvgPool2d",
     "UpsampleNearest2d", "Identity", "Add", "ConvBNReLU",

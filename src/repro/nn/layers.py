@@ -129,13 +129,15 @@ class _BatchNorm(Module):
         if not self.training and not is_grad_enabled():
             # Same ops as the graph path below: Tensor(...) coerces the
             # buffers exactly as _as_array does, ``var + eps`` adds a
-            # float32 eps, and Tensor.__pow__ is np.power.
+            # float32 eps, and Tensor.__pow__ is np.power.  The first
+            # subtract allocates the output; the rest run in place on it.
             mean = _as_array(self.running_mean.reshape(param_shape))
             var = _as_array(self.running_var.reshape(param_shape))
-            x_hat = (x.data - mean) \
-                / np.power(var + np.float32(self.eps), 0.5)
-            return Tensor(x_hat * self.weight.data.reshape(param_shape)
-                          + self.bias.data.reshape(param_shape))
+            out = x.data - mean
+            out /= np.power(var + np.float32(self.eps), 0.5)
+            out *= self.weight.data.reshape(param_shape)
+            out += self.bias.data.reshape(param_shape)
+            return Tensor(out)
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)

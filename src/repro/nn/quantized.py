@@ -264,28 +264,31 @@ class QuantizedConv2d(Module):
         self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols],
                                             np.float64)
         self._rescale = self.weight_scales[None, :, None] * self.input_scale
+        # A 1×1, stride-1, unpadded kernel with every column kept: its
+        # work buffer already *is* the (n, c, h·w) column matrix.
+        self._identity = bool(self._keep_cols.all()) and (
+            self.weight_codes.shape[-1], self.stride, self.padding) \
+            == (1, 1, 0)
         # (Re)compaction is a single-threaded construction-time step.
         self._plans: dict = {}
 
     def _shape_plan(self, c: int, h: int, w: int):
-        """Kept-column gather indices + geometry for one input shape.
+        """Kept-column gather indices + output positions for one input
+        shape.
 
-        The indices are ``None`` when the gather is the identity — a
-        1×1, stride-1, unpadded kernel with every column kept, whose
-        work buffer already *is* the ``(n, c, h·w)`` column matrix.
+        An identity plan is ``(None, h·w)``, built on every call without
+        im2col geometry or a memo entry: inputs whose width changes every
+        frame (the PFN's real points) neither churn the shared geometry
+        cache nor this executor's plan memo.
         """
+        if self._identity:
+            return (None, h * w)
 
         def build():
-            kernel = self.weight_codes.shape[-1]
-            geometry = im2col_plan(c, h, w, kernel, self.stride,
-                                   self.padding)
-            if not self._keep_cols.all():
-                idx = geometry.indices[self._keep_cols].ravel()
-            elif (kernel, self.stride, self.padding) == (1, 1, 0):
-                idx = None
-            else:
-                idx = geometry.indices.ravel()
-            return (idx, geometry)
+            geometry = im2col_plan(c, h, w, self.weight_codes.shape[-1],
+                                   self.stride, self.padding)
+            return (geometry.indices[self._keep_cols].ravel(),
+                    geometry.positions)
 
         return _memoized_plan(self._plans, (c, h, w), build)
 
@@ -314,7 +317,7 @@ class QuantizedConv2d(Module):
         """
         n, c, h, w = data.shape
         out_c = self.weight_codes.shape[0]
-        idx, geometry = self._shape_plan(c, h, w)
+        idx, positions = self._shape_plan(c, h, w)
         p = self.padding
         # Per-call buffer: executors are shared by serving threads.  An
         # unpadded buffer is overwritten whole, so it needs no zeroing.
@@ -326,12 +329,12 @@ class QuantizedConv2d(Module):
             cols = padded.reshape(n, c, h * w)
         else:
             cols = padded.reshape(n, -1).take(idx, axis=1) \
-                .reshape(n, self._kept, geometry.positions)
+                .reshape(n, self._kept, positions)
         acc = _batched_gemm(self._w_kept, cols)
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(
-                macs=out_c * self._kept * n * geometry.positions,
+                macs=out_c * self._kept * n * positions,
                 columns_total=n * keep.size,
                 columns_skipped=n * (keep.size - self._kept),
                 frames=n)

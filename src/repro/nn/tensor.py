@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "enable_grad", "is_grad_enabled"]
 
 
 class _GradMode(threading.local):
@@ -40,6 +40,24 @@ class no_grad:
 
     def __exit__(self, exc_type, exc, tb):
         _GRAD_MODE.disabled -= 1
+        return False
+
+
+class enable_grad:
+    """Context manager that records the graph even inside ``no_grad``.
+
+    Recording passes (profiling, calibration) trace under it, so what
+    they see does not depend on the caller's grad mode.  Per thread,
+    like :class:`no_grad`.
+    """
+
+    def __enter__(self):
+        self._outer = _GRAD_MODE.disabled
+        _GRAD_MODE.disabled = 0
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _GRAD_MODE.disabled = self._outer
         return False
 
 

@@ -1,13 +1,26 @@
-"""The PFN's raw-numpy pooling ≡ its autograd graph path, byte for byte.
+"""The PFN's real-point inference path ≡ its autograd graph path.
 
-Under eval and ``no_grad`` :class:`PillarFeatureNet` applies the ReLU
-and the masked max over points straight on arrays (one ``np.where``
-and one ``max``) instead of four graph ops.  These tests pin its
-output to the grad-enabled eval graph path: single-point and full
-pillars, empty slots, and channels that are all negative before the
-ReLU — whose pooled value is a signed zero — or mix zeros of both
-signs.
+Under eval and ``no_grad`` :class:`PillarFeatureNet` gathers the M real
+points pillar-major, runs conv → BN → ReLU on those alone and pools
+each pillar with one segment max.  These tests pin its output byte for
+byte to the grad-enabled graph path over the dense ``(P, N)`` grid,
+with zeros canonicalized to +0.0 (the segment max ranks ±0.0 ties
+differently from the graph's max over slots, so the fast path adds
+0.0): single-point, full and ragged pillars, a channel that is all
+negative before the ReLU, a channel of mixed-sign zeros, pillars
+without a point and a scene without a point in range.
+
+For the integer executor the parity is exact by construction; for the
+float conv it depends on the BLAS rounding each column alike at any
+matrix width, so it is measured here over point counts up to ~8k.
+
+Also pinned: what the lowered ``pfn.conv`` counts in telemetry (real
+points only), and that its identity 1×1 plan builds no geometry in the
+shared im2col cache, nor an entry in its own plan memo, however the
+point count changes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +29,9 @@ from repro import nn
 from repro.models import PointPillars
 from repro.models.pointpillars.pfn import PillarFeatureNet
 from repro.nn import Tensor
+from repro.nn import functional as F
 from repro.nn.quantized import QuantizedConv2d, activation_scale
+from repro.runtime.executors import LoweredProgram
 from tests.models.conftest import TINY_PILLARS
 
 CHANNELS = 8
@@ -42,13 +57,20 @@ def _pfn(seed):
     pfn.bn.running_mean[:] = rng.standard_normal(CHANNELS) * 0.1
     pfn.bn.running_var[:] = rng.uniform(0.5, 2.0, CHANNELS)
     # Channel 0 is negative everywhere: the ReLU leaves -0.0 on every
-    # point, so its pooled value is a signed zero.  Channel 1 is ±0.0
-    # everywhere (zero gain, -0.0 shift), so the max ranks zeros of
+    # point, so its pooled value is a zero of either sign.  Channel 1 is
+    # ±0.0 everywhere (zero gain, -0.0 shift), so the max ranks zeros of
     # both signs.
     pfn.bn.bias.data[0] = -1e3
     pfn.bn.weight.data[1] = 0.0
     pfn.bn.bias.data[1] = -0.0
     return pfn.eval()
+
+
+def _quantized(pfn, features):
+    """The PFN with its 1×1 conv swapped for an integer executor."""
+    pfn.conv = QuantizedConv2d.from_float(pfn.conv,
+                                          activation_scale(features))
+    return pfn
 
 
 def _assert_fast_equals_graph(pfn, features, mask):
@@ -58,7 +80,8 @@ def _assert_fast_equals_graph(pfn, features, mask):
     assert graph.requires_grad and not fast.requires_grad
     assert fast.data.dtype == graph.data.dtype == np.float32
     assert fast.shape == graph.shape == (len(features), CHANNELS)
-    assert fast.data.tobytes() == graph.data.tobytes()
+    assert fast.data.tobytes() == (graph.data + 0.0).tobytes()
+    assert not np.signbit(fast.data[fast.data == 0]).any()
     return fast.data
 
 
@@ -67,17 +90,43 @@ def test_float_conv_matches_graph(seed):
     features, mask = _pillars(seed)
     out = _assert_fast_equals_graph(_pfn(seed), features, mask)
     zero = out[:, 0]
-    assert (zero == 0).all() and np.signbit(zero).all()
+    assert (zero == 0).all() and not np.signbit(zero).any()
+    assert (out[:, 1] == 0).all()
+
+
+@pytest.mark.parametrize("pillars", [1, 3, 40, 700])
+def test_float_conv_matches_graph_at_any_width(pillars):
+    # The float conv's parity is measured, not exact by construction:
+    # the gemm sees a (9, M) matrix on the fast path and a (9, P·N) one
+    # on the graph path, so it holds only while the BLAS rounds each
+    # column alike at both widths.  Widths from 1 to ~8k points (past
+    # small-matrix kernels) pin that on the BLAS the suite runs on.
+    rng = np.random.default_rng(pillars)
+    counts = rng.integers(1, MAX_POINTS + 1, pillars)
+    mask = (np.arange(MAX_POINTS)[None, :] < counts[:, None]) \
+        .astype(np.float32)
+    features = rng.standard_normal((pillars, MAX_POINTS, 9)) \
+        .astype(np.float32) * mask[:, :, None] * 10
+    _assert_fast_equals_graph(_pfn(pillars), features, mask)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_quantized_conv_matches_graph(seed):
     # The lowered program swaps the 1×1 conv for an integer executor.
     features, mask = _pillars(seed)
-    pfn = _pfn(seed)
-    pfn.conv = QuantizedConv2d.from_float(pfn.conv,
-                                          activation_scale(features))
-    _assert_fast_equals_graph(pfn, features, mask)
+    _assert_fast_equals_graph(_quantized(_pfn(seed), features),
+                              features, mask)
+
+
+@pytest.mark.parametrize("empty", [[0], [7], [15], [0, 1, 15]])
+def test_pillar_without_points_keeps_the_fill(empty):
+    # The encoder never emits one, but the segment max must not borrow
+    # a neighbour's points for it: it pools to the graph path's -1e4.
+    features, mask = _pillars(5)
+    mask[empty] = 0.0
+    features[empty] = 0.0
+    out = _assert_fast_equals_graph(_pfn(5), features, mask)
+    assert (out[empty] == np.float32(-1e4)).all()
 
 
 def test_training_mode_keeps_graph_path():
@@ -95,3 +144,70 @@ def test_encoded_scene_matches_graph(tiny_scene):
     features, mask, _ = model.preprocess(tiny_scene)
     assert (mask.data.sum(axis=1) == 1).any()
     _assert_fast_equals_graph(model.pfn, features.data, mask.data)
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+@pytest.mark.parametrize("in_range", [True, False])
+def test_head_maps_match_graph(tiny_scene, lowered, in_range):
+    # Pooled zeros lose their sign, but nothing downstream reads it: the
+    # model's head maps keep every byte.  With no point in range the
+    # PFN yields (0, C) features and an empty canvas.
+    model = PointPillars(seed=0, **TINY_PILLARS).eval()
+    if lowered:
+        _quantized(model.pfn, np.ones(1, np.float32))
+    scene = tiny_scene if in_range else dataclasses.replace(
+        tiny_scene, points=tiny_scene.points[:0])
+    inputs = model.preprocess(scene)
+    with nn.no_grad():
+        pooled = model.pfn(*inputs[:2])
+        fast = model.forward(*inputs)
+    assert pooled.shape == (len(inputs[2]), CHANNELS)
+    assert (len(inputs[2]) > 0) == in_range
+    graph = model.forward(*inputs)
+    assert sorted(fast) == sorted(graph)
+    for key in graph:
+        assert fast[key].data.tobytes() == graph[key].data.tobytes()
+
+
+def _lowered_pfn(seed):
+    """A PFN whose conv runs through a lowered integer executor at a
+    scale that clips the input's tails (so some codes saturate)."""
+    features, mask = _pillars(seed)
+    pfn = _pfn(seed)
+    executor = QuantizedConv2d.from_float(
+        pfn.conv, activation_scale(features) * 0.5)
+    return pfn, LoweredProgram({"conv": executor}), features, mask
+
+
+def test_telemetry_counts_real_points_only():
+    pfn, program, features, mask = _lowered_pfn(2)
+    points = int(mask.sum())
+    fast, dense = {}, {}
+    with program.attached(pfn, fast), nn.no_grad():
+        pfn(Tensor(features), Tensor(mask))
+    with program.attached(pfn, dense):
+        pfn(Tensor(features), Tensor(mask))
+    conv, grid = fast["conv"], dense["conv"]
+    assert conv.calls == 1
+    assert conv.activations_total == 9 * points
+    assert conv.macs == CHANNELS * 9 * points
+    assert grid.activations_total == 9 * features.shape[0] * MAX_POINTS
+    # Padding is all zeros and never saturates: the same codes clip,
+    # out of fewer activations, so the rate rises.
+    assert conv.activations_saturated == grid.activations_saturated > 0
+    assert conv.saturation_rate > grid.saturation_rate
+
+
+def test_point_counts_add_no_geometry():
+    pfn, program, _, _ = _lowered_pfn(3)
+    F.clear_geometry_cache()
+    seen = set()
+    with program.attached(pfn), nn.no_grad():
+        for seed in range(6):
+            features, mask = _pillars(seed)
+            seen.add(int(mask.sum()))
+            pfn(Tensor(features), Tensor(mask))
+    assert len(seen) == 6
+    assert F.geometry_cache_stats()["misses"] == 0
+    assert F.geometry_cache_stats()["size"] == 0
+    assert program.executors["conv"]._plans == {}

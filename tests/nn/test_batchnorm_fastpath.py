@@ -1,10 +1,12 @@
 """Eval BatchNorm under ``no_grad`` is byte-identical to the graph path.
 
-The no-grad eval path normalizes in raw numpy; the grad-enabled eval
-path builds the autograd graph.  Both must emit the same bytes for any
-running statistics — including tiny variances, statistics swapped in
-by ``load_state_dict`` and buffers rewritten in place — and the graph
-path must still back-propagate.
+The no-grad eval path normalizes in raw numpy, in place on the one
+array its first subtract allocates; the grad-enabled eval path builds
+the autograd graph.  Both must emit the same bytes for any running
+statistics — including tiny variances, statistics swapped in by
+``load_state_dict`` (float64 ones too) and buffers rewritten in place
+— the fast path must leave its input alone, and the graph path must
+still back-propagate.
 """
 
 import numpy as np
@@ -78,6 +80,34 @@ class TestEvalParity:
         bn.running_mean[:] += np.float32(0.5)
         after = _assert_paths_equal(bn, x)
         assert after.data.tobytes() != before.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d"])
+def test_input_is_never_mutated(kind):
+    # The fast path normalizes in place, but only on the array its first
+    # subtract allocates, never on the caller's input.
+    rng = np.random.default_rng(5)
+    bn = _make(kind, rng)
+    x = _input(kind, 3, rng)
+    before = x.copy()
+    with nn.no_grad():
+        out = bn(Tensor(x))
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out.data, x)
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d"])
+def test_float64_buffers_from_load_state_dict(kind):
+    # Buffers loaded as float64 stay float64; both paths coerce them to
+    # float32 before normalizing, so the output stays float32 and equal.
+    rng = np.random.default_rng(6)
+    bn = _make(kind, rng)
+    state = {key: value.astype(np.float64)
+             if key.startswith("running_") else value
+             for key, value in _make(kind, rng).state_dict().items()}
+    bn.load_state_dict(state)
+    assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+    _assert_paths_equal(bn, _input(kind, 3, rng))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d"])
