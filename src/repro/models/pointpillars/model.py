@@ -47,7 +47,10 @@ class PointPillars(Detector3D):
         self.nms_iou = nms_iou
 
         from .pfn import PillarFeatureNet
-        self.pfn = PillarFeatureNet(out_channels=pfn_channels, rng=rng)
+        self.pfn = PillarFeatureNet(
+            out_channels=pfn_channels,
+            max_points_per_pillar=self.pillar_config.max_points_per_pillar,
+            rng=rng)
         self.backbone = PointPillarsBackbone(
             in_channels=pfn_channels, stage_channels=stage_channels,
             stage_depths=stage_depths, upsample_channels=upsample_channels,
@@ -68,13 +71,14 @@ class PointPillars(Detector3D):
     # Forward path
     # ------------------------------------------------------------------
     def preprocess(self, scene: Scene) -> tuple:
+        """Scene → ``(points, counts, indices)``: the pillar-major
+        ``(9, M)`` point features, points per pillar and BEV cells."""
         pillars = self.encoder.encode(scene.points)
-        return (Tensor(pillars.features), Tensor(pillars.mask),
-                pillars.indices)
+        return Tensor(pillars.points), pillars.counts, pillars.indices
 
-    def forward(self, features: Tensor, mask: Tensor,
+    def forward(self, points: Tensor, counts: np.ndarray,
                 indices: np.ndarray) -> dict:
-        pillar_features = self.pfn(features, mask)
+        pillar_features = self.pfn(points, counts)
         canvas = F.scatter_to_grid(pillar_features, indices,
                                    self.pillar_config.grid_shape)
         bev = self.backbone(canvas)
@@ -83,12 +87,13 @@ class PointPillars(Detector3D):
     def example_inputs(self) -> tuple:
         rng = np.random.default_rng(0)
         p, n = 64, self.pillar_config.max_points_per_pillar
+        # p full pillars: n random points each, pillar-major.
         features = rng.standard_normal((p, n, 9)).astype(np.float32)
-        mask = np.ones((p, n), dtype=np.float32)
+        points = np.ascontiguousarray(features.reshape(p * n, 9).T)
         ny, nx = self.pillar_config.grid_shape
         cells = rng.choice(ny * nx, size=p, replace=False)
         indices = np.stack([cells // nx, cells % nx], axis=1)
-        return Tensor(features), Tensor(mask), indices
+        return Tensor(points), np.full(p, n), indices
 
     # ------------------------------------------------------------------
     # Training
@@ -139,8 +144,8 @@ class PointPillars(Detector3D):
         with nn.no_grad():
             canvases = []
             for scene in scenes:
-                features, mask, indices = self.preprocess(scene)
-                pillar_features = self.pfn(features, mask)
+                points, counts, indices = self.preprocess(scene)
+                pillar_features = self.pfn(points, counts)
                 canvases.append(F.scatter_to_grid(
                     pillar_features, indices,
                     self.pillar_config.grid_shape))

@@ -38,7 +38,7 @@ __all__ = [
     "im2col", "col2im", "col2im_indexed", "conv2d", "conv_transpose2d",
     "max_pool2d", "avg_pool2d", "upsample_nearest2d", "scatter_to_grid",
     "linear", "Im2colPlan", "Col2imPlan", "im2col_plan", "col2im_plan",
-    "geometry_cache_stats", "clear_geometry_cache",
+    "geometry_cache_stats", "clear_geometry_cache", "columns_are_input",
 ]
 
 
@@ -269,6 +269,12 @@ def col2im_plan(c: int, h: int, w: int, kernel: int, stride: int,
         key, lambda: _build_col2im_plan(c, h, w, kernel, stride, padding))
 
 
+def columns_are_input(kernel: int, stride: int, padding: int) -> bool:
+    """Whether im2col is the identity: a 1×1, stride-1, unpadded window
+    makes the ``(N, C, H·W)`` input its own column matrix."""
+    return (kernel, stride, padding) == (1, 1, 0)
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Lower NCHW input into (N, C*k*k, out_h*out_w) patch columns.
 
@@ -276,8 +282,13 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     compiled once per ``(C, H, W, kernel, stride, padding)`` and reused
     across frames and batches.  A gather is a pure permutation, so the
     result is bit-identical to the strided extraction for every dtype.
+    An identity window (:func:`columns_are_input`) reshapes the input
+    instead, with no plan: inputs whose width changes every frame (the
+    PFN's real points) would otherwise add a plan per frame.
     """
-    _, c, h, w = x.shape
+    n, c, h, w = x.shape
+    if columns_are_input(kernel, stride, padding):
+        return x.reshape(n, c, h * w)
     return im2col_plan(c, h, w, kernel, stride, padding).apply(x)
 
 

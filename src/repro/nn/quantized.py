@@ -58,11 +58,13 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
   overwritten whole.  The buffer is allocated per call, never shared
   per plan, so concurrent serving threads cannot race on it.
 * **Pointwise layers skip the identity gather.**  For a 1×1, stride-1,
-  unpadded conv with every column kept, the work buffer already *is*
-  the ``(n, c, h·w)`` column matrix, so the memoized shape plan holds
-  no gather indices and the gemm reads the buffer directly; the same
-  deconvolution skips its identity col2im scatter.  Telemetry counts
-  are those of the general path.
+  unpadded conv with every column kept (the window rule is
+  :func:`~repro.nn.functional.columns_are_input`, shared with the float
+  ``im2col``), the work buffer already *is* the ``(n, c, h·w)`` column
+  matrix, so the shape plan holds no gather indices, is not memoized,
+  and the gemm reads the buffer directly; the same deconvolution skips
+  its identity col2im scatter.  Telemetry counts are those of the
+  general path.
 * The epilogue multiplies the accumulator by a rescale precomputed in
   :meth:`_compact` with ``np.multiply(..., dtype=float64)`` — the same
   elementwise product as before, without a cast copy — and adds the
@@ -75,7 +77,7 @@ import threading
 
 import numpy as np
 
-from .functional import col2im_plan, im2col_plan
+from .functional import col2im_plan, columns_are_input, im2col_plan
 from .layers import Conv2d, ConvTranspose2d, Linear
 from .module import Module
 from .tensor import Tensor
@@ -264,11 +266,6 @@ class QuantizedConv2d(Module):
         self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols],
                                             np.float64)
         self._rescale = self.weight_scales[None, :, None] * self.input_scale
-        # A 1×1, stride-1, unpadded kernel with every column kept: its
-        # work buffer already *is* the (n, c, h·w) column matrix.
-        self._identity = bool(self._keep_cols.all()) and (
-            self.weight_codes.shape[-1], self.stride, self.padding) \
-            == (1, 1, 0)
         # (Re)compaction is a single-threaded construction-time step.
         self._plans: dict = {}
 
@@ -276,17 +273,20 @@ class QuantizedConv2d(Module):
         """Kept-column gather indices + output positions for one input
         shape.
 
-        An identity plan is ``(None, h·w)``, built on every call without
-        im2col geometry or a memo entry: inputs whose width changes every
-        frame (the PFN's real points) neither churn the shared geometry
-        cache nor this executor's plan memo.
+        An identity plan (:func:`~repro.nn.functional.columns_are_input`
+        with every column kept) is ``(None, h·w)``, built on every call
+        without im2col geometry or a memo entry: inputs whose width
+        changes every frame (the PFN's real points) neither churn the
+        shared geometry cache nor this executor's plan memo.
         """
-        if self._identity:
+        kernel = self.weight_codes.shape[-1]
+        if self._kept == self._keep_cols.size \
+                and columns_are_input(kernel, self.stride, self.padding):
             return (None, h * w)
 
         def build():
-            geometry = im2col_plan(c, h, w, self.weight_codes.shape[-1],
-                                   self.stride, self.padding)
+            geometry = im2col_plan(c, h, w, kernel, self.stride,
+                                   self.padding)
             return (geometry.indices[self._keep_cols].ravel(),
                     geometry.positions)
 
@@ -440,7 +440,7 @@ class QuantizedConvTranspose2d(Module):
 
         def build():
             _, out_c, kernel, _ = self.weight_codes.shape
-            if (kernel, self.stride, self.padding) == (1, 1, 0) \
+            if columns_are_input(kernel, self.stride, self.padding) \
                     and self._keep_cols.all():
                 return None
             out_h = (h - 1) * self.stride - 2 * self.padding + kernel

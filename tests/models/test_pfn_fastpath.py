@@ -1,23 +1,23 @@
 """The PFN's real-point inference path ≡ its autograd graph path.
 
-Under eval and ``no_grad`` :class:`PillarFeatureNet` gathers the M real
-points pillar-major, runs conv → BN → ReLU on those alone and pools
-each pillar with one segment max.  These tests pin its output byte for
-byte to the grad-enabled graph path over the dense ``(P, N)`` grid,
-with zeros canonicalized to +0.0 (the segment max ranks ±0.0 ties
-differently from the graph's max over slots, so the fast path adds
-0.0): single-point, full and ragged pillars, a channel that is all
-negative before the ReLU, a channel of mixed-sign zeros, pillars
-without a point and a scene without a point in range.
+Under eval and ``no_grad`` :class:`PillarFeatureNet` runs conv → BN →
+ReLU on the M pillar-major points alone and pools each pillar with one
+segment max.  These tests pin its output byte for byte to the
+grad-enabled graph path over the dense ``(P, N)`` slot grid, with zeros
+canonicalized to +0.0 (the segment max ranks ±0.0 ties differently from
+the graph's max over slots, so the fast path adds 0.0): single-point,
+full and ragged pillars, a channel that is all negative before the
+ReLU, a channel of mixed-sign zeros, pillars without a point and a
+scene without a point in range.
 
 For the integer executor the parity is exact by construction; for the
 float conv it depends on the BLAS rounding each column alike at any
 matrix width, so it is measured here over point counts up to ~8k.
 
 Also pinned: what the lowered ``pfn.conv`` counts in telemetry (real
-points only), and that its identity 1×1 plan builds no geometry in the
-shared im2col cache, nor an entry in its own plan memo, however the
-point count changes.
+points only), and that neither the float conv nor the lowered one's
+identity 1×1 plan builds geometry in the shared im2col cache (nor an
+entry in the executor's plan memo), however the point count changes.
 """
 
 import dataclasses
@@ -38,16 +38,15 @@ CHANNELS = 8
 MAX_POINTS = 24
 
 
-def _pillars(seed):
-    """(P, 24, 9) features + mask: full, single-point and ragged pillars."""
+def _pillars(seed, empty=()):
+    """(9, M) pillar-major points + counts: full, single-point and
+    ragged pillars, and no point at all for the ``empty`` pillars."""
     rng = np.random.default_rng(seed)
     counts = np.concatenate([[MAX_POINTS, 1, MAX_POINTS, 1],
                              rng.integers(1, MAX_POINTS + 1, 12)])
-    mask = (np.arange(MAX_POINTS)[None, :] < counts[:, None]) \
-        .astype(np.float32)
-    features = rng.standard_normal((len(counts), MAX_POINTS, 9)) \
-        .astype(np.float32) * mask[:, :, None]
-    return features, mask
+    counts[list(empty)] = 0
+    points = rng.standard_normal((9, counts.sum())).astype(np.float32)
+    return points, counts
 
 
 def _pfn(seed):
@@ -66,20 +65,19 @@ def _pfn(seed):
     return pfn.eval()
 
 
-def _quantized(pfn, features):
+def _quantized(pfn, points):
     """The PFN with its 1×1 conv swapped for an integer executor."""
-    pfn.conv = QuantizedConv2d.from_float(pfn.conv,
-                                          activation_scale(features))
+    pfn.conv = QuantizedConv2d.from_float(pfn.conv, activation_scale(points))
     return pfn
 
 
-def _assert_fast_equals_graph(pfn, features, mask):
+def _assert_fast_equals_graph(pfn, points, counts):
     with nn.no_grad():
-        fast = pfn(Tensor(features), Tensor(mask))
-    graph = pfn(Tensor(features), Tensor(mask))
+        fast = pfn(Tensor(points), counts)
+    graph = pfn(Tensor(points), counts)
     assert graph.requires_grad and not fast.requires_grad
     assert fast.data.dtype == graph.data.dtype == np.float32
-    assert fast.shape == graph.shape == (len(features), CHANNELS)
+    assert fast.shape == graph.shape == (len(counts), CHANNELS)
     assert fast.data.tobytes() == (graph.data + 0.0).tobytes()
     assert not np.signbit(fast.data[fast.data == 0]).any()
     return fast.data
@@ -87,8 +85,7 @@ def _assert_fast_equals_graph(pfn, features, mask):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_float_conv_matches_graph(seed):
-    features, mask = _pillars(seed)
-    out = _assert_fast_equals_graph(_pfn(seed), features, mask)
+    out = _assert_fast_equals_graph(_pfn(seed), *_pillars(seed))
     zero = out[:, 0]
     assert (zero == 0).all() and not np.signbit(zero).any()
     assert (out[:, 1] == 0).all()
@@ -103,47 +100,41 @@ def test_float_conv_matches_graph_at_any_width(pillars):
     # small-matrix kernels) pin that on the BLAS the suite runs on.
     rng = np.random.default_rng(pillars)
     counts = rng.integers(1, MAX_POINTS + 1, pillars)
-    mask = (np.arange(MAX_POINTS)[None, :] < counts[:, None]) \
-        .astype(np.float32)
-    features = rng.standard_normal((pillars, MAX_POINTS, 9)) \
-        .astype(np.float32) * mask[:, :, None] * 10
-    _assert_fast_equals_graph(_pfn(pillars), features, mask)
+    points = rng.standard_normal((9, counts.sum())).astype(np.float32) * 10
+    _assert_fast_equals_graph(_pfn(pillars), points, counts)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_quantized_conv_matches_graph(seed):
     # The lowered program swaps the 1×1 conv for an integer executor.
-    features, mask = _pillars(seed)
-    _assert_fast_equals_graph(_quantized(_pfn(seed), features),
-                              features, mask)
+    points, counts = _pillars(seed)
+    _assert_fast_equals_graph(_quantized(_pfn(seed), points),
+                              points, counts)
 
 
 @pytest.mark.parametrize("empty", [[0], [7], [15], [0, 1, 15]])
 def test_pillar_without_points_keeps_the_fill(empty):
     # The encoder never emits one, but the segment max must not borrow
     # a neighbour's points for it: it pools to the graph path's -1e4.
-    features, mask = _pillars(5)
-    mask[empty] = 0.0
-    features[empty] = 0.0
-    out = _assert_fast_equals_graph(_pfn(5), features, mask)
+    out = _assert_fast_equals_graph(_pfn(5), *_pillars(5, empty))
     assert (out[empty] == np.float32(-1e4)).all()
 
 
 def test_training_mode_keeps_graph_path():
-    features, mask = _pillars(0)
+    points, counts = _pillars(0)
     pfn = _pfn(0).train()
     with nn.no_grad():
-        fast = pfn(Tensor(features), Tensor(mask))
-    graph = pfn(Tensor(features), Tensor(mask))
+        fast = pfn(Tensor(points), counts)
+    graph = pfn(Tensor(points), counts)
     assert graph.requires_grad
     assert fast.data.tobytes() == graph.data.tobytes()
 
 
 def test_encoded_scene_matches_graph(tiny_scene):
     model = PointPillars(seed=0, **TINY_PILLARS).eval()
-    features, mask, _ = model.preprocess(tiny_scene)
-    assert (mask.data.sum(axis=1) == 1).any()
-    _assert_fast_equals_graph(model.pfn, features.data, mask.data)
+    points, counts, _ = model.preprocess(tiny_scene)
+    assert (counts == 1).any() and (counts < MAX_POINTS).any()
+    _assert_fast_equals_graph(model.pfn, points.data, counts)
 
 
 @pytest.mark.parametrize("lowered", [False, True])
@@ -172,26 +163,26 @@ def test_head_maps_match_graph(tiny_scene, lowered, in_range):
 def _lowered_pfn(seed):
     """A PFN whose conv runs through a lowered integer executor at a
     scale that clips the input's tails (so some codes saturate)."""
-    features, mask = _pillars(seed)
+    points, counts = _pillars(seed)
     pfn = _pfn(seed)
     executor = QuantizedConv2d.from_float(
-        pfn.conv, activation_scale(features) * 0.5)
-    return pfn, LoweredProgram({"conv": executor}), features, mask
+        pfn.conv, activation_scale(points) * 0.5)
+    return pfn, LoweredProgram({"conv": executor}), points, counts
 
 
 def test_telemetry_counts_real_points_only():
-    pfn, program, features, mask = _lowered_pfn(2)
-    points = int(mask.sum())
+    pfn, program, points, counts = _lowered_pfn(2)
+    m = points.shape[1]
     fast, dense = {}, {}
     with program.attached(pfn, fast), nn.no_grad():
-        pfn(Tensor(features), Tensor(mask))
+        pfn(Tensor(points), counts)
     with program.attached(pfn, dense):
-        pfn(Tensor(features), Tensor(mask))
+        pfn(Tensor(points), counts)
     conv, grid = fast["conv"], dense["conv"]
     assert conv.calls == 1
-    assert conv.activations_total == 9 * points
-    assert conv.macs == CHANNELS * 9 * points
-    assert grid.activations_total == 9 * features.shape[0] * MAX_POINTS
+    assert conv.activations_total == 9 * m
+    assert conv.macs == CHANNELS * 9 * m
+    assert grid.activations_total == 9 * len(counts) * MAX_POINTS
     # Padding is all zeros and never saturates: the same codes clip,
     # out of fewer activations, so the rate rises.
     assert conv.activations_saturated == grid.activations_saturated > 0
@@ -204,10 +195,27 @@ def test_point_counts_add_no_geometry():
     seen = set()
     with program.attached(pfn), nn.no_grad():
         for seed in range(6):
-            features, mask = _pillars(seed)
-            seen.add(int(mask.sum()))
-            pfn(Tensor(features), Tensor(mask))
+            points, counts = _pillars(seed)
+            seen.add(points.shape[1])
+            pfn(Tensor(points), counts)
     assert len(seen) == 6
     assert F.geometry_cache_stats()["misses"] == 0
     assert F.geometry_cache_stats()["size"] == 0
     assert program.executors["conv"]._plans == {}
+
+
+def test_float_point_counts_add_no_geometry():
+    # The float 1×1 conv's im2col is the identity too: a new point
+    # count each frame must not add a plan to the shared cache.
+    pfn = _pfn(3)
+    F.clear_geometry_cache()
+    seen = set()
+    with nn.no_grad():
+        for seed in range(6):
+            points, counts = _pillars(seed)
+            seen.add(points.shape[1])
+            pfn(Tensor(points), counts)
+    assert len(seen) == 6
+    assert F.geometry_cache_stats() == {
+        "size": 0, "capacity": F.geometry_cache_stats()["capacity"],
+        "hits": 0, "misses": 0}

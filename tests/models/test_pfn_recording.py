@@ -8,7 +8,8 @@ grad enabled whatever the caller's grad mode, so they keep recording
 caller is inside ``no_grad``.  Pinned on the benchmarked architecture, for
 its example inputs (the ones the compressor and the engine trace) and
 for an encoded scene, whose padding makes the dense and the real-point
-inputs differ.
+inputs differ.  The recorded sizes are also pinned to literals: the
+point-major encoder left them where the slot-major one had them.
 """
 
 import contextlib
@@ -21,13 +22,19 @@ from repro import nn
 from repro.baselines.lidar_ptq import LidarPTQ
 from repro.hardware.profile import profile_model
 from repro.ir import extract_ir
-from repro.nn import Tensor
+from repro.pointcloud.voxelize import slot_grid
+
+#: ``pfn.conv``'s recorded (MACs, fp32 input bytes, input absmax).
+RECORDED = {"example": (110592, 55296, 3.945549726486206),
+            "scene": (300672, 150336, 24.75234031677246)}
 
 
-def _dense(features):
-    """``pfn.conv``'s input on the graph path: (P, N, 9) → (1, 9, P, N)."""
-    p, n, f = features.shape
-    return Tensor(features).transpose(2, 0, 1).reshape(1, f, p, n).data
+def _dense(model, inputs):
+    """``pfn.conv``'s input on the graph path: the (1, 9, P, N) grid."""
+    points, counts, _ = inputs
+    grid, _ = slot_grid(points.data, counts,
+                        model.pillar_config.max_points_per_pillar)
+    return grid[None]
 
 
 def _inputs(kind, scene):
@@ -49,15 +56,17 @@ GRAD = pytest.mark.parametrize("grad", [True, False],
 @pytest.mark.parametrize("kind", ["example", "scene"])
 def test_extract_ir_records_dense_pfn_conv(kind, grad, tiny_scene):
     model, inputs = _inputs(kind, tiny_scene)
-    dense = _dense(inputs[0].data)
+    dense = _dense(model, inputs)
     if kind == "scene":
-        assert inputs[1].data.sum() < inputs[1].data.size   # has padding
+        assert inputs[0].shape[1] < dense[0, 0].size        # has padding
     with _grad_mode(grad):
         node = extract_ir(model, *inputs).node("pfn.conv")
     channels = model.pfn.out_channels
     assert node.macs == channels * dense.size
     assert node.profile.input_bytes_fp32 == dense.size * 4
     assert node.profile.input_absmax == float(np.abs(dense).max())
+    assert (node.macs, node.profile.input_bytes_fp32,
+            node.profile.input_absmax) == RECORDED[kind]
 
 
 @GRAD
@@ -65,7 +74,8 @@ def test_profile_model_records_dense_pfn_conv(grad, tiny_scene):
     model, inputs = _inputs("scene", tiny_scene)
     with _grad_mode(grad):
         layer = profile_model(model, *inputs).by_name()["pfn.conv"]
-    assert layer.input_bytes_fp32 == _dense(inputs[0].data).size * 4
+    assert layer.input_bytes_fp32 == _dense(model, inputs).size * 4 \
+        == RECORDED["scene"][1]
 
 
 @GRAD
@@ -76,5 +86,5 @@ def test_lidar_ptq_calibrates_on_dense_pfn_conv(kind, grad, tiny_scene):
     with _grad_mode(grad):
         moments = LidarPTQ(calibration_scenes=scenes)._collect_calibration(
             model, *model.example_inputs())["pfn.conv"]
-    expected = (_dense(inputs[0].data) ** 2).mean(axis=(0, 2, 3))
+    expected = (_dense(model, inputs) ** 2).mean(axis=(0, 2, 3))
     assert moments.tobytes() == expected.tobytes()

@@ -13,26 +13,27 @@ from .conftest import TINY_PILLARS
 
 class TestPillarFeatureNet:
     def test_output_shape(self):
-        pfn = PillarFeatureNet(out_channels=16)
-        features = Tensor(np.random.default_rng(0)
-                          .standard_normal((10, 8, 9)).astype(np.float32))
-        mask = Tensor(np.ones((10, 8), dtype=np.float32))
-        out = pfn(features, mask)
+        pfn = PillarFeatureNet(out_channels=16, max_points_per_pillar=8)
+        points = Tensor(np.random.default_rng(0)
+                        .standard_normal((9, 80)).astype(np.float32))
+        out = pfn(points, np.full(10, 8))
         assert out.shape == (10, 16)
 
     def test_masked_points_ignored(self):
-        pfn = PillarFeatureNet(out_channels=4)
-        pfn.eval()
+        # The graph path pads each pillar to max_points_per_pillar
+        # slots; however many padding slots there are, they must not
+        # change the output.
         rng = np.random.default_rng(1)
-        features = rng.standard_normal((3, 6, 9)).astype(np.float32)
-        mask = np.ones((3, 6), dtype=np.float32)
-        mask[:, 3:] = 0.0
-        out_masked = pfn(Tensor(features), Tensor(mask)).data
-        # Perturbing masked slots must not change the output.
-        perturbed = features.copy()
-        perturbed[:, 3:] += 100.0
-        out_perturbed = pfn(Tensor(perturbed), Tensor(mask)).data
-        np.testing.assert_allclose(out_masked, out_perturbed, atol=1e-5)
+        points = Tensor(rng.standard_normal((9, 9)).astype(np.float32))
+        counts = np.array([3, 3, 3])
+        outs = []
+        for max_points in (6, 12):
+            pfn = PillarFeatureNet(out_channels=4,
+                                   max_points_per_pillar=max_points,
+                                   rng=np.random.default_rng(2))
+            pfn.eval()
+            outs.append(pfn(points, counts).data)
+        np.testing.assert_allclose(outs[0], outs[1], atol=1e-5)
 
     def test_uses_1x1_convolution(self):
         pfn = PillarFeatureNet(out_channels=4)

@@ -3,10 +3,13 @@
 Builds random expression DAGs from the Tensor op vocabulary and checks
 the backward pass against central-difference gradients — the strongest
 guarantee that arbitrary model compositions differentiate correctly.
+A central difference is no oracle across a ReLU/leaky-ReLU kink, so
+draws whose probes move a kink's input across (or onto) zero are
+rejected rather than compared.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor
@@ -23,6 +26,8 @@ _UNARY = [
     ("scale", lambda t: t * 1.7 - 0.3),
     ("leaky", lambda t: t.leaky_relu(0.2)),
 ]
+#: Unary ops with a kink at 0.
+_KINKED = {"relu", "leaky"}
 _BINARY = [
     ("add", lambda a, b: a + b),
     ("sub", lambda a, b: a - b),
@@ -31,13 +36,20 @@ _BINARY = [
 ]
 
 
-def _build_dag(inputs: list[Tensor], plan: list[tuple]) -> Tensor:
-    """Deterministically compose a DAG from (kind, op_idx, src_a, src_b)."""
+def _build_dag(inputs: list[Tensor], plan: list[tuple],
+               kinks: list | None = None) -> Tensor:
+    """Deterministically compose a DAG from (kind, op_idx, src_a, src_b).
+
+    ``kinks``, if given, collects the input of every kinked op.
+    """
     nodes = list(inputs)
     for kind, op_idx, src_a, src_b in plan:
         if kind == 0:
             name, op = _UNARY[op_idx % len(_UNARY)]
-            nodes.append(op(nodes[src_a % len(nodes)]))
+            source = nodes[src_a % len(nodes)]
+            if kinks is not None and name in _KINKED:
+                kinks.append(source.data)
+            nodes.append(op(source))
         else:
             name, op = _BINARY[op_idx % len(_BINARY)]
             nodes.append(op(nodes[src_a % len(nodes)],
@@ -58,7 +70,8 @@ def dag_plans(draw):
 
 
 class TestAutogradFuzz:
-    @given(dag_plans(), st.integers(0, 10_000))
+    @given(plan=dag_plans(), seed=st.integers(0, 10_000))
+    @example(plan=[(0, 0, 1, 0)], seed=95)     # a ReLU input 7e-5 from 0
     @settings(max_examples=60, deadline=None)
     def test_random_dag_gradients_match_numeric(self, plan, seed):
         rng = np.random.default_rng(seed)
@@ -70,13 +83,24 @@ class TestAutogradFuzz:
         loss.backward()
 
         for i, array in enumerate(arrays):
+            signs = []
+
             def scalar_fn(x, index=i):
                 probe = [Tensor(a) for a in arrays]
                 probe[index] = Tensor(x)
-                return float(_build_dag(probe, plan).sum().data)
+                kinks = []
+                value = float(_build_dag(probe, plan, kinks).sum().data)
+                signs.append([np.sign(k) for k in kinks])
+                return value
 
+            scalar_fn(array.astype(np.float64))
             expected = numeric_grad(scalar_fn, array.astype(np.float64),
                                     eps=1e-3)
+            # Every probe must leave each kink's input on the side of
+            # zero it has at the unperturbed point.
+            assume(all(np.array_equal(a, b)
+                       for probe in signs[1:]
+                       for a, b in zip(probe, signs[0])))
             actual = tensors[i].grad
             if actual is None:        # input unused by this DAG
                 assert np.abs(expected).max() < 1e-4

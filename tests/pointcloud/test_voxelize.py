@@ -27,14 +27,15 @@ class TestPillarEncoder:
         pillars = pillar_encoder.encode(cloud([[0.5, -3.5, 0.0, 0.7]]))
         assert pillars.num_pillars == 1
         np.testing.assert_array_equal(pillars.indices[0], [0, 0])
-        assert pillars.mask[0, 0] == 1.0
-        assert pillars.mask[0, 1:].sum() == 0
+        _, mask = pillars.dense()
+        assert mask[0, 0] == 1.0
+        assert mask[0, 1:].sum() == 0
 
     def test_points_in_same_cell_share_pillar(self, pillar_encoder):
         pillars = pillar_encoder.encode(cloud([
             [2.1, 0.1, 0.5, 0.3], [2.9, 0.8, 1.0, 0.4]]))
         assert pillars.num_pillars == 1
-        assert pillars.mask[0].sum() == 2
+        assert pillars.dense()[1][0].sum() == 2
 
     def test_out_of_range_points_dropped(self, pillar_encoder):
         pillars = pillar_encoder.encode(cloud([
@@ -44,7 +45,7 @@ class TestPillarEncoder:
     def test_max_points_per_pillar_truncates(self, pillar_encoder):
         points = [[2.5, 0.5, 0.5, 0.1]] * 10
         pillars = pillar_encoder.encode(cloud(points))
-        assert pillars.mask.sum() == 4
+        assert pillars.dense()[1].sum() == 4
 
     def test_max_pillars_keeps_most_populated(self):
         encoder = PillarEncoder(PillarConfig(
@@ -54,24 +55,24 @@ class TestPillarEncoder:
                   + [[5.5, 2.5, 0.5, 0.1]])     # lonely cell
         pillars = encoder.encode(cloud(points))
         assert pillars.num_pillars == 1
-        assert pillars.mask.sum() == 5
+        assert pillars.dense()[1].sum() == 5
 
     def test_centroid_offsets_zero_mean(self, pillar_encoder):
         points = [[2.1, 0.3, 0.5, 0.1], [2.9, 0.7, 1.5, 0.1]]
         pillars = pillar_encoder.encode(cloud(points))
-        offsets = pillars.features[0, :2, 4:7]
+        offsets = pillars.dense()[0][0, :2, 4:7]
         np.testing.assert_allclose(offsets.sum(axis=0), np.zeros(3),
                                    atol=1e-5)
 
     def test_center_offsets_bounded_by_cell(self, pillar_encoder):
         points = [[2.1, 0.3, 0.5, 0.1], [2.9, -0.7, 1.5, 0.1]]
         pillars = pillar_encoder.encode(cloud(points))
-        center_offsets = pillars.features[:, :, 7:9]
+        center_offsets = pillars.dense()[0][:, :, 7:9]
         assert np.abs(center_offsets).max() <= 0.5 + 1e-6  # half a cell
 
     def test_feature_dim_is_nine(self, pillar_encoder):
         pillars = pillar_encoder.encode(cloud([[1, 0, 0, 0.5]]))
-        assert pillars.features.shape[-1] == 9
+        assert pillars.dense()[0].shape[-1] == 9
 
     @given(st.integers(1, 60))
     @settings(max_examples=20, deadline=None)
@@ -84,19 +85,27 @@ class TestPillarEncoder:
         encoder = PillarEncoder(PillarConfig(
             x_range=(0, 8), y_range=(-4, 4), pillar_size=1.0,
             max_points_per_pillar=4, max_pillars=64))
-        pillars = encoder.encode(points)
+        features, mask = encoder.encode(points).dense()
         # Wherever the mask is 0, all features must be 0.
-        empty = pillars.mask == 0
-        assert np.abs(pillars.features[empty]).sum() == 0
+        empty = mask == 0
+        assert np.abs(features[empty]).sum() == 0
 
 
 def _assert_matches_oracle(config, points):
+    """Point-major pillars equal the oracle's real slots, pillar-major,
+    and ``dense()`` equals its whole slot grid, signed zeros included."""
     pillars = PillarEncoder(config).encode(points)
-    expected = oracle.encode_pillars(config, points)
-    for got, want in zip((pillars.features, pillars.mask, pillars.indices),
-                         expected):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    features, mask, indices = oracle.encode_pillars(config, points)
+    real = mask > 0
+    expected = (np.ascontiguousarray(features[real].T),
+                real.sum(axis=1), indices)
+    got = (pillars.points, pillars.counts, pillars.indices)
+    for have, want in zip(got, expected):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+    for have, want in zip(pillars.dense(), (features, mask)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
     return pillars
 
 
@@ -124,7 +133,7 @@ class TestPillarScatterParity:
         points = cloud([[2.5, 0.5, 0.5, 0.1]] * 7 + [[2.2, 0.9, 1.0, 0.9]]
                        + [[6.5, -3.5, 0.0, 0.2]] * 2)
         pillars = _assert_matches_oracle(_small_config(max_points=4), points)
-        assert pillars.mask.sum() == 4 + 2
+        np.testing.assert_array_equal(pillars.counts, [2, 4])
 
     def test_max_pillars_overflow(self):
         rng = np.random.default_rng(3)
@@ -136,6 +145,20 @@ class TestPillarScatterParity:
         pillars = _assert_matches_oracle(
             _small_config(max_points=3, max_pillars=5), points)
         assert pillars.num_pillars == 5
+
+    def test_negative_zero_coordinates(self):
+        # An all -0.0 pillar sums its centroid from +0.0 as the slot grid
+        # did, and empty slots keep the grid's (0 - centroid) * 0 and
+        # (0 - center) * 0 signs; a full pillar has no empty slot.
+        points = cloud([[-0.0, 0.5, -0.0, 0.1]] * 4
+                       + [[1.5, -0.0, -0.0, -0.0]] * 2
+                       + [[2.5, -3.5, 0.5, 0.2]]
+                       + [[4.5, 2.5, -0.0, 0.3], [4.2, 2.1, 0.0, 0.4]])
+        pillars = _assert_matches_oracle(_small_config(max_points=4), points)
+        np.testing.assert_array_equal(pillars.counts, [1, 4, 2, 2])
+        features, mask = pillars.dense()
+        assert np.signbit(features[mask == 0]).any()
+        assert not np.signbit(features[mask == 0]).all()
 
     def test_generated_scene(self):
         scene = SceneGenerator(SceneConfig(), seed=0).generate(
