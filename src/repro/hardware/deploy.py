@@ -8,7 +8,7 @@ compression outcome — into a :class:`CompiledPlan`, the static
 description the device models price.  It also computes the storage
 footprint, which is what the paper's "compression ratio" column
 measures.  :func:`compile_model` is the thin one-call wrapper that
-extracts (or adapts) the IR and lowers it.
+extracts the IR and lowers it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.nn.module import Module
 
-from .profile import LayerProfile, ModelProfile
+from .profile import LayerProfile
 
 __all__ = ["CompressionMeta", "PlanLayer", "CompiledPlan", "compile_model",
            "lower_to_plan", "annotate_layer", "get_annotation", "SCHEMES"]
@@ -213,20 +213,14 @@ def lower_to_plan(ir) -> CompiledPlan:
     return plan
 
 
-def compile_model(model: Module, *example_inputs,
-                  profile: ModelProfile | None = None) -> CompiledPlan:
+def compile_model(model: Module, *example_inputs) -> CompiledPlan:
     """Lower a (possibly compressed) model into a costed plan.
 
     Convenience wrapper: extracts the model's IR (one traced forward
-    pass) — or, when a measured ``profile`` is supplied, adapts it into
-    a trace-free IR — and runs :func:`lower_to_plan` on it.  Pipelines
-    that already hold a :class:`~repro.ir.ModelIR` should annotate and
-    lower it directly instead of paying another extraction.
+    pass) and runs :func:`lower_to_plan` on it.  Pipelines that already
+    hold a :class:`~repro.ir.ModelIR` should annotate and lower it
+    directly instead of paying another extraction.
     """
     # Imported lazily: repro.ir consumes this module's annotations.
-    from repro.ir import extract_ir, ir_from_profile
-    if profile is None:
-        ir = extract_ir(model, *example_inputs)
-    else:
-        ir = ir_from_profile(profile, model)
-    return lower_to_plan(ir)
+    from repro.ir import extract_ir
+    return lower_to_plan(extract_ir(model, *example_inputs))

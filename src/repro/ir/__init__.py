@@ -10,12 +10,12 @@ lowerings consume it: the cost lowering
 integer lowering (:func:`repro.ir.lowering.lower_executors`).
 """
 
-from .extract import extract_ir, ir_from_profile
+from .extract import extract_ir
 from .lowering import executor_for, lower_executors, lowerable_nodes
 from .model_ir import CompressionInfo, IRNode, ModelIR
 
 __all__ = [
     "IRNode", "CompressionInfo", "ModelIR",
-    "extract_ir", "ir_from_profile",
+    "extract_ir",
     "lower_executors", "lowerable_nodes", "executor_for",
 ]

@@ -6,23 +6,18 @@ structure, then lifts both into a :class:`~repro.ir.ModelIR`: nodes in
 dataflow order, predecessor edges, per-layer cost stats, and the current
 compression annotations.  Every other stage (grouping, plan lowering,
 packing, the runtime) consumes the resulting IR; none of them re-trace.
-
-``ir_from_profile`` builds a trace-free IR from an already-measured
-:class:`~repro.hardware.profile.ModelProfile` — no forward pass, no
-edges — for callers that only need per-layer costs (the legacy
-``compile_model(..., profile=...)`` path).
 """
 
 from __future__ import annotations
 
-from repro.hardware.profile import ModelProfile, profiling
+from repro.hardware.profile import profiling
 from repro.nn.graph import compute_graph, layer_map, topological_layers
 from repro.nn.layers import Conv2d, ConvTranspose2d
 from repro.nn.module import Module
 
 from .model_ir import IRNode, ModelIR
 
-__all__ = ["extract_ir", "ir_from_profile"]
+__all__ = ["extract_ir"]
 
 
 def _node_from_module(name: str, module: Module) -> IRNode:
@@ -74,28 +69,5 @@ def extract_ir(model: Module, *example_inputs,
         if measured is not None:
             node.macs = measured.macs
             node.profile = measured
-        ir.nodes.append(node)
-    return ir.annotate_from(model)
-
-
-def ir_from_profile(profile: ModelProfile, model: Module) -> ModelIR:
-    """Lift an existing profile into an edge-less IR without tracing.
-
-    Nodes appear in the profile's execution order; layers the profile
-    never saw (and profile entries with no matching module) are dropped,
-    matching how plan compilation has always treated them.
-    """
-    layers = layer_map(model)
-    ir = ModelIR(model_name=profile.model_name,
-                 norm_output_bytes=profile.norm_output_bytes)
-    seen = set()
-    for measured in profile.layers:
-        module = layers.get(measured.name)
-        if module is None or measured.name in seen:
-            continue
-        seen.add(measured.name)
-        node = _node_from_module(measured.name, module)
-        node.macs = measured.macs
-        node.profile = measured
         ir.nodes.append(node)
     return ir.annotate_from(model)

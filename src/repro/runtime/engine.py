@@ -5,6 +5,8 @@ a detector (optionally restored from a packed UPAQ blob) is compiled
 once into a device plan, then consumes scenes frame by frame while the
 engine accounts simulated device latency and energy per frame, enforces
 a real-time deadline, and accumulates detection quality statistics.
+Every rung of the engine's ladder is compiled (IR → plan → lowered
+program → cost split) once, when the engine is constructed.
 
 Failure is a modeled part of the stream, not an abort: frames that
 never arrive are recorded as ``dropped``, frames whose point cloud
@@ -12,8 +14,8 @@ fails validation (NaN/Inf returns) are handled by a
 :class:`DegradationPolicy` — hold the last good detections or emit an
 empty frame — and a deadline watchdog walks a
 :class:`DegradationLadder` of model variants: consecutive misses demote
-execution to the next-cheaper rung (zero-retrace, via each rung's
-pre-extracted :class:`~repro.ir.ModelIR`), consecutive on-deadline
+execution to the next-cheaper rung (a hot swap that traces and
+lowers nothing), consecutive on-deadline
 frames promote it back up through a probation window, and every swap is
 recorded as a :class:`SwapEvent`.  An engine built without a ladder
 runs a one-rung ladder, so its watchdog only counts misses.  Every
@@ -93,9 +95,9 @@ class LadderRung:
     """One operating point of a :class:`DegradationLadder`.
 
     ``ir`` is the rung's pre-extracted (typically archive-embedded)
-    :class:`~repro.ir.ModelIR`; when every rung carries one, hot swaps
-    are zero-retrace — the engine never traces a model after
-    construction.  ``miss_limit`` overrides the policy's
+    :class:`~repro.ir.ModelIR`; an engine traces a rung built without
+    one once, at construction, and never traces a model after that.
+    ``miss_limit`` overrides the policy's
     ``max_consecutive_misses`` for demotion *off* this rung (``None``
     inherits the policy value).
     """
@@ -391,23 +393,41 @@ class StreamReport:
         return text
 
 
+@dataclass(frozen=True, eq=False)
 class _LadderLevel:
-    """Per-rung compiled state: IR → plan → lowered program, cached.
+    """One rung compiled for the engine: IR → plan → program → costs.
 
-    Levels are built once at engine construction and survive swaps in
-    both directions, so demoting back to (or promoting back from) a
-    rung reuses its compiled plan and executors — hot swaps never
-    re-trace and never re-lower a rung already visited.
+    Built complete at engine construction and never changed, so any
+    number of streams may read it at once and a swap never traces or
+    lowers.  ``breakdown`` is the plan's per-layer ``(name, latency_s,
+    energy_j)``; the overheads are the non-kernel remainders, taken by
+    subtraction so the parts sum to ``latency_s`` / ``energy_j``.
     """
 
-    __slots__ = ("rung", "ir", "plan", "program", "layer_costs")
+    rung: LadderRung
+    ir: ModelIR
+    plan: CompiledPlan
+    program: LoweredProgram
+    latency_s: float
+    energy_j: float
+    breakdown: tuple
+    overhead_latency_s: float
+    overhead_energy_j: float
 
-    def __init__(self, rung: LadderRung):
-        self.rung = rung
-        self.ir: ModelIR | None = rung.ir
-        self.plan: CompiledPlan | None = None
-        self.program: LoweredProgram | None = None
-        self.layer_costs: tuple | None = None
+    @classmethod
+    def compile(cls, rung: LadderRung, ir: ModelIR | None,
+                device: DeviceModel, execution: str) -> "_LadderLevel":
+        """Compile ``rung`` from ``ir``, traced from its model when None."""
+        model = rung.model
+        if ir is None:
+            ir = extract_ir(model, *model.example_inputs())
+        plan = lower_to_plan(ir)
+        program = LoweredProgram(lower_executors(ir, model), mode=execution)
+        breakdown = tuple(plan.cost_breakdown(device))
+        latency, energy = device.latency(plan), device.energy(plan)
+        return cls(rung, ir, plan, program, latency, energy, breakdown,
+                   latency - sum(lat for _, lat, _ in breakdown),
+                   energy - sum(en for _, _, en in breakdown))
 
 
 #: Sentinel distinguishing "inherit the engine's value" from an
@@ -496,8 +516,10 @@ class InferenceEngine:
         plain float forward in either mode.
     ir:
         Optional pre-extracted (or blob-restored)
-        :class:`~repro.ir.ModelIR` for ``model``; when omitted the
-        engine extracts it lazily with one traced forward pass.
+        :class:`~repro.ir.ModelIR` for ``model`` (or for a ladder's
+        rung 0 built without one); when omitted the engine traces it
+        at construction.  Every rung is compiled there, so a rung that
+        cannot be lowered fails the constructor, not a swap.
     trace:
         When true, :meth:`run` records per-frame
         :class:`~repro.runtime.telemetry.TraceEvent` attributions —
@@ -509,7 +531,9 @@ class InferenceEngine:
     telemetry:
         When true, count per-layer
         :class:`~repro.runtime.telemetry.LayerTelemetry` into the
-        engine's collector map (the program's default map); the finished
+        engine's collector map, which :meth:`run` passes to every
+        window it executes (a layer gains a counter once its rung has
+        run a window); the finished
         :class:`StreamReport.telemetry` carries snapshots and
         ``summary()`` gains a one-line digest.  Strictly opt-in and
         observation-only — no output bit depends on it.
@@ -543,8 +567,6 @@ class InferenceEngine:
                 raise ValueError(
                     "model must be the ladder's rung-0 (primary) model "
                     "or None when a ladder is provided")
-            if ir is not None and ladder.rungs[0].ir is None:
-                ladder.rungs[0].ir = ir
         elif model is None:
             raise ValueError("model is required without a ladder")
         self.device = device
@@ -556,90 +578,45 @@ class InferenceEngine:
         self.trace = trace
         self.telemetry = telemetry
         self.batch_size = batch_size
-        #: long-lived collector map — survives a watchdog rung swap,
-        #: so counters for a layer name accumulate across the swap
-        #: instead of being lost with the old program
+        #: long-lived collector map :meth:`run` counts into — it
+        #: outlives a watchdog rung swap, so counters for a layer name
+        #: accumulate across the swap
         self._collectors: dict[str, LayerTelemetry] = {}
         if ladder is None:
             ladder = DegradationLadder(
                 [LadderRung(name="primary", model=model, ir=ir)],
                 promote_after=0, probation=0)
         self.ladder = ladder
-        self._levels = [_LadderLevel(rung) for rung in ladder.rungs]
+        # ``ir`` stands in for a primary rung built without one; the
+        # caller's rung is left as it was.
+        self._levels = [
+            _LadderLevel.compile(
+                rung, ir if index == 0 and rung.ir is None else rung.ir,
+                device, execution)
+            for index, rung in enumerate(ladder.rungs)]
         self._active = 0
         self.model = self._levels[0].rung.model
 
     # ------------------------------------------------------------------
-    # Active-rung compiled state (per level, cached across swaps)
+    # Active-rung compiled state
     # ------------------------------------------------------------------
     @property
     def _level(self) -> _LadderLevel:
         return self._levels[self._active]
 
-    def _level_ir(self, level: _LadderLevel) -> ModelIR:
-        """A level's IR — the single source for its plan + program.
-
-        Extracted lazily only for rungs constructed without one;
-        archive-built ladders carry every rung's IR, so no trace ever
-        happens after construction.
-        """
-        if level.ir is None:
-            level.ir = extract_ir(level.rung.model,
-                                  *level.rung.model.example_inputs())
-        return level.ir
-
-    def _level_plan(self, level: _LadderLevel) -> CompiledPlan:
-        if level.plan is None:
-            level.plan = lower_to_plan(self._level_ir(level))
-        return level.plan
-
-    def _level_program(self, level: _LadderLevel) -> LoweredProgram:
-        if level.program is None:
-            level.program = LoweredProgram(
-                lower_executors(self._level_ir(level), level.rung.model),
-                mode=self.execution)
-            if self.telemetry:
-                level.program.enable_telemetry(self._collectors)
-        return level.program
-
     @property
     def ir(self) -> ModelIR:
-        """The active model's IR (see :meth:`_level_ir`)."""
-        return self._level_ir(self._level)
+        """The active rung's IR — the source of its plan and program."""
+        return self._level.ir
 
     @property
     def plan(self) -> CompiledPlan:
-        return self._level_plan(self._level)
+        return self._level.plan
 
     @property
     def program(self) -> LoweredProgram:
-        """Integer executors lowered from the shared IR (lazy)."""
-        return self._level_program(self._level)
-
-    def _level_costs(self, level: _LadderLevel) -> tuple:
-        """Cached per-layer cost split of one level's plan.
-
-        Returns ``(breakdown, base_latency, base_energy, overhead_lat,
-        overhead_energy)`` where ``breakdown`` is the plan's per-layer
-        ``(name, latency_s, energy_j)`` and the overhead terms are the
-        non-kernel remainders, computed by subtraction so the parts sum
-        to the whole-plan base costs exactly.
-        """
-        if level.layer_costs is None:
-            plan = self._level_plan(level)
-            breakdown = plan.cost_breakdown(self.device)
-            base_latency = self.device.latency(plan)
-            base_energy = self.device.energy(plan)
-            kernel_lat = sum(lat for _, lat, _ in breakdown)
-            kernel_energy = sum(en for _, _, en in breakdown)
-            level.layer_costs = (breakdown, base_latency, base_energy,
-                                 base_latency - kernel_lat,
-                                 base_energy - kernel_energy)
-        return level.layer_costs
-
-    def _cost_model(self) -> tuple:
-        """Cached cost split of the *active* plan (see _level_costs)."""
-        return self._level_costs(self._level)
+        """The active rung's integer executors, lowered from its IR."""
+        return self._level.program
 
     def _trace_events(self, session: _StreamSession, frame_id: int,
                       latency_s: float, energy_j: float,
@@ -652,53 +629,39 @@ class InferenceEngine:
         the base cost; jitter gets its own pseudo-event.  The event sums
         reproduce the frame's recorded totals within float tolerance.
         """
-        breakdown, base_lat, base_energy, over_lat, over_energy = \
-            self._level_costs(self._levels[session.active])
+        level = self._levels[session.active]
+        base_lat, base_energy = level.latency_s, level.energy_j
         lat_scale = latency_s / base_lat if base_lat > 0 else 0.0
         energy_scale = energy_j / base_energy if base_energy > 0 else 0.0
         events = [TraceEvent(frame_id=frame_id, layer=name,
                              latency_s=lat * lat_scale,
                              energy_j=en * energy_scale)
-                  for name, lat, en in breakdown]
-        events.append(TraceEvent(frame_id=frame_id, layer=OVERHEAD_LAYER,
-                                 latency_s=over_lat * lat_scale,
-                                 energy_j=over_energy * energy_scale,
-                                 kind="overhead"))
+                  for name, lat, en in level.breakdown]
+        events.append(TraceEvent(
+            frame_id=frame_id, layer=OVERHEAD_LAYER,
+            latency_s=level.overhead_latency_s * lat_scale,
+            energy_j=level.overhead_energy_j * energy_scale,
+            kind="overhead"))
         if jitter_s:
             events.append(TraceEvent(frame_id=frame_id, layer=JITTER_LAYER,
                                      latency_s=jitter_s, energy_j=0.0,
                                      kind="jitter"))
         return events
 
-    def _predict(self, scene) -> DetectionResult:
-        """One inference, through the lowered program when it has work."""
-        program = self.program
-        if not program.executors:
-            return self.model.predict(scene)
-        with program.attached(self.model):
-            return self.model.predict(scene)
-
-    def _predict_window(self, scenes) -> list[DetectionResult]:
-        """One micro-batch of inferences through the lowered program."""
-        if not scenes:
-            return []
-        return self.program.predict_window(self.model, scenes)
-
     def _window_results(self, level: _LadderLevel, scenes,
                         collectors=None) -> list[DetectionResult]:
         """One micro-batch through a specific level's program.
 
         ``collectors`` names the telemetry store the window counts
-        into; ``None`` counts into the program's default map (the
-        engine's own long-lived collectors when it was constructed with
-        ``telemetry=True``).  The map travels with the window's call
-        (:meth:`LoweredProgram.attached`), not in the program, so
-        concurrent serving streams each count into their own map and
-        any number of windows may run through one program at once.
+        into; ``None`` counts nothing.  The map travels with the
+        window's call (:meth:`LoweredProgram.attached`), not in the
+        program, so concurrent serving streams each count into their
+        own map and any number of windows may run through one program
+        at once.
         """
         if not scenes:
             return []
-        return self._level_program(level).predict_window(
+        return level.program.predict_window(
             level.rung.model, scenes, telemetry=collectors)
 
     @property
@@ -720,7 +683,7 @@ class InferenceEngine:
         per-frame cost models (and tests) can vary it; without one the
         hook is bypassed and the plan's base cost is returned.
         """
-        _, latency, energy, _, _ = self._cost_model()
+        latency, energy = self._level.latency_s, self._level.energy_j
         if frame_id is not None and self.cost_hook is not None:
             latency, energy = self.cost_hook(frame_id, latency, energy)
         return latency, energy
@@ -737,27 +700,11 @@ class InferenceEngine:
     def _switch(self, index: int) -> None:
         """Hot-swap execution to ``self._levels[index]`` — zero retrace.
 
-        Only the active index and ``self.model`` change; every level
-        keeps its compiled plan/program/cost cache, so revisiting a rung
-        costs nothing and ``extract_ir`` is never re-entered for rungs
-        constructed with an IR.
+        Only the active index and ``self.model`` change: every level
+        was compiled at construction, so a swap costs nothing.
         """
         self._active = index
         self.model = self._level.rung.model
-
-    def _demote(self) -> bool:
-        """Swap one rung down; False when already at the bottom."""
-        if self._active + 1 >= len(self._levels):
-            return False
-        self._switch(self._active + 1)
-        return True
-
-    def _promote(self) -> bool:
-        """Swap one rung up; False when already on the primary."""
-        if self._active == 0:
-            return False
-        self._switch(self._active - 1)
-        return True
 
     def _held_result(self, frame_id: int,
                      last_good: DetectionResult | None) -> DetectionResult:
@@ -816,10 +763,9 @@ class InferenceEngine:
 
     def _session_cost(self, session: _StreamSession,
                       frame_id: int) -> tuple[float, float]:
-        """(latency s, energy J) of one frame on the session's rung,
-        read from the level's cached cost split (see _level_costs)."""
-        _, latency, energy, _, _ = \
-            self._level_costs(self._levels[session.active])
+        """(latency s, energy J) of one frame on the session's rung."""
+        level = self._levels[session.active]
+        latency, energy = level.latency_s, level.energy_j
         if self.cost_hook is not None:
             latency, energy = self.cost_hook(frame_id, latency, energy)
         return latency, energy
@@ -875,17 +821,6 @@ class InferenceEngine:
             deadline_met=False, status="failed",
             fallback=session.active > 0,
             rung=self._session_rung(session)))
-
-    def _session_window_cost(self, session: _StreamSession) -> float:
-        """Estimated device latency of one window on the session's rung.
-
-        The plan's base latency (no cost hook, no jitter — both are
-        per-frame perturbations unknown before emission): the signal
-        the serving scheduler compares against a queued frame's
-        deadline slack to decide when holding a partial window for
-        more co-batching members stops being safe.
-        """
-        return self._level_costs(self._levels[session.active])[1]
 
     def _emit_result(self, session: _StreamSession, frame_id: int,
                      result: DetectionResult, faults) -> bool:

@@ -95,9 +95,8 @@ class LoweredProgram:
                          | None = None) -> dict[str, LayerTelemetry]:
         """Set the default collector map; returns it.
 
-        ``collectors`` lets a caller (the engine) supply a long-lived
-        map so counters survive the program being re-lowered — e.g.
-        across a watchdog fallback swap; missing entries are created.
+        ``collectors`` lets a caller supply a long-lived map so
+        counters outlive the program; missing entries are created.
         Telemetry is strictly opt-in: until this is called (or a block
         is given its own map), executors count nothing.
         """

@@ -125,19 +125,17 @@ class ReplicaSpec:
     """A picklable recipe for building identical engine replicas.
 
     The process backend ships one of these (pickled) to every worker
-    process, which builds its replica exactly once at pool init.  Three
-    sources, all round-tripping each rung's :class:`~repro.ir.ModelIR`
+    process, which builds its replica exactly once at pool init.  Two
+    sources, both round-tripping each rung's :class:`~repro.ir.ModelIR`
     so workers never re-trace:
 
     * :meth:`from_engine` — pickle the live rung models + IRs directly
       (simplest; what :class:`ServingEngine` derives automatically);
     * :meth:`from_blobs` — blob-v4 bytes per rung (e.g. from
       :func:`repro.core.packing.pack_ladder`) + a model factory — the
-      compact wire form;
-    * :meth:`from_archive` — an archive *path* + entry names + a model
-      factory; each worker opens and restores the archive itself.
+      compact wire form.
 
-    The factory forms require a picklable (module-level) callable.
+    The factory form requires a picklable (module-level) callable.
     Parent-side-only concerns — fault injectors, cost hooks, tracing,
     per-stream SLOs — are deliberately absent: workers only ever
     *predict*; classification, emission and the watchdog stay on the
@@ -145,7 +143,7 @@ class ReplicaSpec:
     solo runs.
     """
 
-    kind: str                           # "rungs" | "blobs" | "archive"
+    kind: str                           # "rungs" | "blobs"
     payload: tuple
     device: object
     deadline_s: float = 0.1
@@ -159,16 +157,14 @@ class ReplicaSpec:
     def from_engine(engine: InferenceEngine) -> "ReplicaSpec":
         """Derive a spec from a live engine (models + IRs pickled).
 
-        Forces every rung's IR extraction *now*, so even ladders built
-        without pre-extracted IRs ship one and workers never trace.
+        Every rung ships the IR its engine level was compiled from,
+        so workers never trace.
         """
-        rungs = []
-        for level in engine._levels:
-            ir = engine._level_ir(level)
-            rungs.append((level.rung.name, level.rung.model, ir,
-                          level.rung.miss_limit))
+        rungs = tuple((level.rung.name, level.rung.model, level.ir,
+                       level.rung.miss_limit)
+                      for level in engine._levels)
         return ReplicaSpec(
-            kind="rungs", payload=tuple(rungs), device=engine.device,
+            kind="rungs", payload=rungs, device=engine.device,
             deadline_s=engine.deadline_s, policy=engine.policy,
             execution=engine.execution, batch_size=engine.batch_size,
             promote_after=engine.ladder.promote_after,
@@ -197,25 +193,6 @@ class ReplicaSpec:
             batch_size=batch_size, promote_after=promote_after,
             probation=probation)
 
-    @staticmethod
-    def from_archive(path, names, model_factory, device, *,
-                     deadline_s: float = 0.1,
-                     policy: DegradationPolicy | None = None,
-                     execution: str = "lowered", batch_size: int = 1,
-                     promote_after: int = 5, probation: int = 3,
-                     miss_limits=None) -> "ReplicaSpec":
-        """Spec carrying only an archive path — each worker restores
-        the named entries itself (see
-        :meth:`~repro.runtime.engine.DegradationLadder.from_archive`)."""
-        miss_limits = dict(miss_limits or {})
-        return ReplicaSpec(
-            kind="archive",
-            payload=(str(path), tuple(names), model_factory,
-                     tuple(sorted(miss_limits.items()))),
-            device=device, deadline_s=deadline_s, policy=policy,
-            execution=execution, batch_size=batch_size,
-            promote_after=promote_after, probation=probation)
-
     def build(self) -> InferenceEngine:
         """Construct one engine replica (zero re-trace by contract)."""
         if self.kind == "rungs":
@@ -243,13 +220,6 @@ class ReplicaSpec:
             ladder = DegradationLadder(rungs,
                                        promote_after=self.promote_after,
                                        probation=self.probation)
-        elif self.kind == "archive":
-            from repro.core.archive import ArchiveReader
-            path, names, factory, miss_limits = self.payload
-            ladder = DegradationLadder.from_archive(
-                ArchiveReader.open(path), names, factory,
-                promote_after=self.promote_after,
-                probation=self.probation, miss_limits=dict(miss_limits))
         else:
             raise ValueError(f"unknown replica spec kind {self.kind!r}")
         return InferenceEngine(
@@ -267,12 +237,9 @@ _WORKER_ENGINE: InferenceEngine | None = None
 
 
 def _replica_init(spec_bytes: bytes) -> None:
-    """Pool initializer: build and pre-warm this worker's replica."""
+    """Pool initializer: build this worker's (fully compiled) replica."""
     global _WORKER_ENGINE
-    engine = pickle.loads(spec_bytes).build()
-    for level in engine._levels:
-        engine._level_program(level)    # no lazy builds mid-window
-    _WORKER_ENGINE = engine
+    _WORKER_ENGINE = pickle.loads(spec_bytes).build()
 
 
 def _replica_ready(delay_s: float = 0.0) -> int:
@@ -562,8 +529,8 @@ class ServingEngine:
         :class:`ServingStats`.
     spec:
         Optional explicit :class:`ReplicaSpec` for the process
-        backend (e.g. :meth:`ReplicaSpec.from_archive` so workers
-        restore from the archive file instead of unpickling models);
+        backend (e.g. :meth:`ReplicaSpec.from_blobs` so workers
+        restore compact blobs instead of unpickling models);
         derived automatically via :meth:`ReplicaSpec.from_engine` when
         omitted.  Must round-trip ``pickle`` — verified at
         construction, never mid-stream.
@@ -576,8 +543,8 @@ class ServingEngine:
 
     Windows fill up to the wrapped engine's ``batch_size`` with head
     frames from distinct streams whose rung and scene signature match.
-    All compiled state (IR → plan → program per ladder rung) is
-    pre-warmed at construction, so workers never race a lazy build.
+    The wrapped engine compiled every ladder rung when it was built,
+    so windows only read that shared, immutable compiled state.
     """
 
     def __init__(self, engine: InferenceEngine, *, replicas: int = 1,
@@ -632,11 +599,6 @@ class ServingEngine:
             # refused to come up) the same slots serve on threads.
             if not self._start_pool_locked(replicas):
                 self._backend = "thread"
-        # Pre-warm every rung's compiled state so concurrent windows
-        # never race a lazy IR extraction / lowering.
-        for level in engine._levels:
-            engine._level_costs(level)
-            engine._level_program(level)
         self._default_queue_depth = queue_depth
         self.max_streams = max_streams
         self._lock = threading.Lock()
@@ -1046,8 +1008,7 @@ class ServingEngine:
             for lane in self._lanes.values())
         if not growth:
             return False
-        window_cost = self._engine._level_costs(
-            self._engine._levels[rung])[1]
+        window_cost = self._engine._levels[rung].latency_s
         slack = min(
             lane.session.deadline_s - (now - lane.classified[0][1])
             for lane in group)

@@ -239,6 +239,34 @@ class TestLadderConstruction:
             InferenceEngine(_tiny_pp(9), default_devices()["jetson"],
                             ladder=ladder)
 
+    def test_rung_that_cannot_be_lowered_fails_construction(
+            self, monkeypatch):
+        """Every rung is compiled by the constructor, so a rung that
+        cannot be lowered fails there, not at its first demotion."""
+        cheap = _rung("cheap", 1)
+        ladder = DegradationLadder([_rung("primary", 0), cheap])
+        import repro.runtime.engine as engine_module
+        lower = engine_module.lower_executors
+
+        def lower_or_fail(ir, model):
+            if model is cheap.model:
+                raise RuntimeError("rung cannot be lowered")
+            return lower(ir, model)
+        monkeypatch.setattr(engine_module, "lower_executors",
+                            lower_or_fail)
+        with pytest.raises(RuntimeError, match="cannot be lowered"):
+            _engine(ladder, hook=None)
+
+    def test_engine_ir_leaves_the_callers_rung_alone(self):
+        model = _tiny_pp(0)
+        ir = extract_ir(model, *model.example_inputs())
+        primary = LadderRung(name="primary", model=model)
+        engine = InferenceEngine(None, default_devices()["jetson"],
+                                 ladder=DegradationLadder([primary]),
+                                 ir=ir)
+        assert primary.ir is None
+        assert engine.ir is ir
+
 
 class TestArchiveLadder:
     @pytest.fixture(scope="class")

@@ -140,7 +140,8 @@ class TestEngineParity:
         float_result = float_model.predict(scenes[0])
         engine = InferenceEngine(compressed.model, jetson,
                                  execution="lowered", ir=compressed.ir)
-        lowered_result = engine._predict(scenes[0])
+        [lowered_result] = engine.program.predict_window(engine.model,
+                                                         [scenes[0]])
         assert _box_tuples(lowered_result) != _box_tuples(float_result)
 
     def test_bad_execution_mode_rejected(self, jetson):
@@ -157,7 +158,8 @@ class TestEngineParity:
         engine = InferenceEngine(model, jetson, execution="lowered")
         assert len(engine.program) == 0
         plain = model.predict(scenes[0])
-        routed = engine._predict(scenes[0])
+        [routed] = engine.program.predict_window(engine.model,
+                                                 [scenes[0]])
         assert _box_tuples(routed) == _box_tuples(plain)
 
 
@@ -173,7 +175,8 @@ class TestEmptyFrameBoundary:
         for mode in ("reference", "lowered"):
             engine = InferenceEngine(compressed.model, jetson,
                                      execution=mode, ir=compressed.ir)
-            result = engine._predict(empty)
+            [result] = engine.program.predict_window(engine.model,
+                                                     [empty])
             assert result.boxes is not None
             outputs[mode] = _box_tuples(result)
         assert outputs["lowered"] == outputs["reference"]
@@ -181,12 +184,15 @@ class TestEmptyFrameBoundary:
     def test_empty_scene_inside_batched_window(self, compressed, scenes,
                                                jetson):
         window = [scenes[0], _empty_scene(scenes[1]), scenes[2]]
-        batched = InferenceEngine(compressed.model, jetson,
-                                  execution="lowered", ir=compressed.ir,
-                                  batch_size=3)._predict_window(window)
+        batched_engine = InferenceEngine(compressed.model, jetson,
+                                         execution="lowered",
+                                         ir=compressed.ir, batch_size=3)
+        batched = batched_engine.program.predict_window(
+            batched_engine.model, window)
         solo = InferenceEngine(compressed.model, jetson,
                                execution="lowered", ir=compressed.ir)
-        sequential = [solo._predict(scene) for scene in window]
+        sequential = [solo.program.predict_window(solo.model, [scene])[0]
+                      for scene in window]
         assert len(batched) == len(window)
         for b, s in zip(batched, sequential):
             assert _box_tuples(b) == _box_tuples(s)

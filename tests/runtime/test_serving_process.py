@@ -26,7 +26,6 @@ import pytest
 import repro.runtime.serving as serving_mod
 from repro.cli import main
 from repro.core import UPAQCompressor, hck_config
-from repro.core.archive import ArchiveReader, ArchiveWriter
 from repro.core.packing import pack_ladder
 from repro.hardware import default_devices
 from repro.models import PointPillars
@@ -310,24 +309,8 @@ def test_poisoned_frame_fails_typed_and_frees_capacity(
 
 
 # ---------------------------------------------------------------------------
-# Replica specs: blobs, archives, and the wire contract
+# Replica specs: blobs and the wire contract
 # ---------------------------------------------------------------------------
-
-def _ladder_archive(tmp_path, compressed):
-    other = _tiny_pp(seed=2)
-    rep2 = UPAQCompressor(hck_config()).compress(
-        other, *other.example_inputs())
-    rep2.model.eval()
-    rungs = [LadderRung(name="primary", model=compressed.model,
-                        ir=compressed.ir),
-             LadderRung(name="cheap", model=rep2.model, ir=rep2.ir)]
-    writer = ArchiveWriter()
-    for rung, blob in zip(rungs, pack_ladder(rungs)):
-        writer.add(rung.name, blob)
-    path = tmp_path / "ladder.rar"
-    path.write_bytes(writer.finish())
-    return path, [rung.name for rung in rungs]
-
 
 def test_replica_spec_blobs_build_matches_source(compressed, jetson):
     """A blob-spec replica (pack_ladder wire form) predicts identically
@@ -345,30 +328,6 @@ def test_replica_spec_blobs_build_matches_source(compressed, jetson):
     _assert_reports_equal(replica.run(scenes), ref)
     with pytest.raises(ValueError, match="at least one rung"):
         ReplicaSpec.from_blobs([], _model_factory, jetson)
-
-
-def test_process_backend_with_archive_spec(tmp_path, compressed, jetson):
-    """Workers restore their ladder from an archive *file* (the spec
-    ships only the path), and reports still match the parent engine."""
-    path, names = _ladder_archive(tmp_path, compressed)
-
-    def parent():
-        ladder = DegradationLadder.from_archive(
-            ArchiveReader.open(path), names, _model_factory,
-            promote_after=0, probation=0)
-        return InferenceEngine(None, jetson, ladder=ladder,
-                               execution="lowered", batch_size=4)
-
-    spec = ReplicaSpec.from_archive(path, names, _model_factory, jetson,
-                                    promote_after=0, probation=0,
-                                    batch_size=4)
-    streams = _scene_streams(count=2, frames=3)
-    with ServingEngine(parent(), backend="process", replicas=2,
-                       spec=spec) as serving:
-        reports = serving.serve(streams)
-        assert serving.backend == "process"
-    for name, scenes in streams.items():
-        _assert_reports_equal(reports[name], parent().run(scenes))
 
 
 def test_serving_rejects_spec_on_thread_backend(compressed, jetson):
