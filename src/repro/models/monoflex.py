@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import nn
 from repro.camera import CameraModel, project_points
+from repro.detection import DetectionResult
 from repro.nn import Tensor
 from repro.pointcloud.boxes import Box3D
 from repro.pointcloud.scenes import Scene
@@ -90,10 +91,14 @@ class MonoFlex(SMOKE):
         return base + flex_loss
 
     # ------------------------------------------------------------------
+    def decode(self, outputs: dict, scene: Scene) -> DetectionResult:
+        heat = 1.0 / (1.0 + np.exp(-outputs["heatmap"].data[0]))
+        boxes = self._decode(heat, outputs["reg"].data[0],
+                             outputs["flex"].data[0])
+        return DetectionResult(boxes=boxes, frame_id=scene.frame_id)
+
     def _decode(self, heat: np.ndarray, reg: np.ndarray,
-                flex: np.ndarray | None = None) -> list[Box3D]:
-        if flex is None:
-            return super()._decode(heat, reg)
+                flex: np.ndarray) -> list[Box3D]:
         boxes = super()._decode(heat, reg)
         # Re-estimate each box's depth with the uncertainty-weighted
         # ensemble of direct and geometric depth.
@@ -123,13 +128,3 @@ class MonoFlex(SMOKE):
                 dx=box.dx, dy=box.dy, dz=box.dz, yaw=box.yaw,
                 label=box.label, score=box.score))
         return refined
-
-    def predict(self, scene: Scene):
-        from repro.detection import DetectionResult
-        self.eval()
-        with nn.no_grad():
-            outputs = self.forward(*self.preprocess(scene))
-        heat = 1.0 / (1.0 + np.exp(-outputs["heatmap"].data[0]))
-        boxes = self._decode(heat, outputs["reg"].data[0],
-                             outputs["flex"].data[0])
-        return DetectionResult(boxes=boxes, frame_id=scene.frame_id)

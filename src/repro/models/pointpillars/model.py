@@ -78,11 +78,22 @@ class PointPillars(Detector3D):
 
     def forward(self, points: Tensor, counts: np.ndarray,
                 indices: np.ndarray) -> dict:
-        pillar_features = self.pfn(points, counts)
-        canvas = F.scatter_to_grid(pillar_features, indices,
-                                   self.pillar_config.grid_shape)
-        bev = self.backbone(canvas)
-        return self.head(bev)
+        return self.head(self.backbone(self._canvas(points, counts, indices)))
+
+    def forward_batch(self, scenes) -> dict:
+        """Per-scene pillars → PFN → scatter (pillar counts are ragged),
+        then one backbone + head pass over the concatenated canvases."""
+        canvases = [self._canvas(*self.preprocess(scene))
+                    for scene in scenes]
+        canvas = canvases[0] if len(canvases) == 1 else Tensor(
+            np.concatenate([c.data for c in canvases], axis=0))
+        return self.head(self.backbone(canvas))
+
+    def _canvas(self, points: Tensor, counts: np.ndarray,
+                indices: np.ndarray) -> Tensor:
+        """One scene's pillars → PFN → its ``(1, C, ny, nx)`` BEV canvas."""
+        return F.scatter_to_grid(self.pfn(points, counts), indices,
+                                 self.pillar_config.grid_shape)
 
     def example_inputs(self) -> tuple:
         rng = np.random.default_rng(0)
@@ -119,45 +130,10 @@ class PointPillars(Detector3D):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def predict(self, scene: Scene) -> DetectionResult:
-        self.eval()
-        with nn.no_grad():
-            outputs = self.forward(*self.preprocess(scene))
+    def decode(self, outputs: dict, scene: Scene) -> DetectionResult:
         return decode_anchor_head(self.head, self.anchor_grid, outputs,
                                   scene.frame_id, self.score_threshold,
                                   self.nms_iou)
-
-    def predict_batch(self, scenes) -> list[DetectionResult]:
-        """Batched inference: per-scene pillar encoding, one trunk pass.
-
-        Pillarization and the PFN are inherently per-scene (ragged
-        pillar counts); the BEV canvases are then concatenated along the
-        batch axis so the backbone + head — the dominant cost — run
-        once over the whole micro-batch.  Every trunk op is
-        batch-parallel (convs see a leading batch dimension, BN uses
-        running stats, the rest are elementwise), so per-frame slices
-        decode exactly as in :meth:`predict`.
-        """
-        if len(scenes) <= 1:
-            return [self.predict(scene) for scene in scenes]
-        self.eval()
-        with nn.no_grad():
-            canvases = []
-            for scene in scenes:
-                points, counts, indices = self.preprocess(scene)
-                pillar_features = self.pfn(points, counts)
-                canvases.append(F.scatter_to_grid(
-                    pillar_features, indices,
-                    self.pillar_config.grid_shape))
-            canvas = Tensor(np.concatenate(
-                [c.data for c in canvases], axis=0))
-            outputs = self.head(self.backbone(canvas))
-        return [decode_anchor_head(
-                    self.head, self.anchor_grid,
-                    {key: Tensor(value.data[i:i + 1])
-                     for key, value in outputs.items()},
-                    scene.frame_id, self.score_threshold, self.nms_iou)
-                for i, scene in enumerate(scenes)]
 
 
 def decode_anchor_head(head: SSDHead, anchor_grid: AnchorGrid,

@@ -94,9 +94,6 @@ class SECOND(Detector3D):
                                             weights=reg_weights)
         return cls_loss + 2.0 * reg_loss
 
-    def predict(self, scene: Scene) -> DetectionResult:
-        self.eval()
-        with nn.no_grad():
-            outputs = self.forward(*self.preprocess(scene))
+    def decode(self, outputs: dict, scene: Scene) -> DetectionResult:
         return decode_anchor_head(self.head, self.anchor_grid, outputs,
                                   scene.frame_id, self.score_threshold)

@@ -156,36 +156,10 @@ class SMOKE(Detector3D):
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
-    def predict(self, scene: Scene) -> DetectionResult:
-        self.eval()
-        with nn.no_grad():
-            outputs = self.forward(*self.preprocess(scene))
+    def decode(self, outputs: dict, scene: Scene) -> DetectionResult:
         heat = 1.0 / (1.0 + np.exp(-outputs["heatmap"].data[0]))
-        reg = outputs["reg"].data[0]
-        boxes = self._decode(heat, reg)
+        boxes = self._decode(heat, outputs["reg"].data[0])
         return DetectionResult(boxes=boxes, frame_id=scene.frame_id)
-
-    def predict_batch(self, scenes) -> list[DetectionResult]:
-        """Batched inference: stack images, one backbone/head pass.
-
-        Every trunk op is batch-parallel, so slicing the batched head
-        outputs per frame decodes exactly as :meth:`predict`.
-        """
-        if len(scenes) <= 1:
-            return [self.predict(scene) for scene in scenes]
-        self.eval()
-        with nn.no_grad():
-            images = Tensor(np.concatenate(
-                [self.preprocess(scene)[0].data for scene in scenes],
-                axis=0))
-            outputs = self.forward(images)
-        results = []
-        for i, scene in enumerate(scenes):
-            heat = 1.0 / (1.0 + np.exp(-outputs["heatmap"].data[i]))
-            boxes = self._decode(heat, outputs["reg"].data[i])
-            results.append(DetectionResult(boxes=boxes,
-                                           frame_id=scene.frame_id))
-        return results
 
     def _decode(self, heat: np.ndarray, reg: np.ndarray) -> list[Box3D]:
         num_classes, fh, fw = heat.shape

@@ -324,6 +324,22 @@ def col2im_indexed(cols: np.ndarray, input_shape: tuple, kernel: int,
     return col2im_plan(c, h, w, kernel, stride, padding).apply(cols)
 
 
+def _per_sample_gemm(subscripts: str, w_mat: np.ndarray,
+                     batch: np.ndarray) -> np.ndarray:
+    """``einsum(subscripts, w_mat, batch)``, one sample at a time.
+
+    BLAS picks its kernel, and so its rounding, by matrix shape: one
+    gemm over the whole batch can round a sample differently from that
+    sample alone.  Per sample, a scene's outputs do not depend on the
+    batch it rides in.
+    """
+    if len(batch) == 1:
+        return np.einsum(subscripts, w_mat, batch, optimize=True)
+    return np.concatenate([
+        np.einsum(subscripts, w_mat, batch[i:i + 1], optimize=True)
+        for i in range(len(batch))])
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution, NCHW input, OIHW weight."""
@@ -339,7 +355,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     cols = im2col(x.data, kernel, stride, padding)
     w_mat = weight.data.reshape(out_c, -1)
-    out = np.einsum("ok,nkp->nop", w_mat, cols, optimize=True)
+    out = _per_sample_gemm("ok,nkp->nop", w_mat, cols)
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
@@ -377,7 +393,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     w_mat = weight.data.reshape(in_c, out_c * kernel * kernel)
     x_mat = x.data.reshape(n, in_c, h * w)
-    cols = np.einsum("io,nip->nop", w_mat, x_mat, optimize=True)
+    cols = _per_sample_gemm("io,nip->nop", w_mat, x_mat)
     out = col2im(cols, (n, out_c, out_h, out_w), kernel, stride, padding)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)

@@ -176,7 +176,6 @@ class DegradationLadder:
                     f"archive entry {name!r} has no embedded ModelIR — "
                     f"pack variants with pack_model(model, ir=...) so "
                     f"ladder swaps never re-trace")
-            model.eval()
             rungs.append(LadderRung(name=name, model=model, ir=report.ir,
                                     miss_limit=miss_limits.get(name)))
         return DegradationLadder(rungs, promote_after=promote_after,
@@ -417,8 +416,12 @@ class _LadderLevel:
     @classmethod
     def compile(cls, rung: LadderRung, ir: ModelIR | None,
                 device: DeviceModel, execution: str) -> "_LadderLevel":
-        """Compile ``rung`` from ``ir``, traced from its model when None."""
-        model = rung.model
+        """Compile ``rung`` from ``ir``, traced from its model when None.
+
+        The rung's model is put in eval mode here, once, before it is
+        traced or lowered; inference never writes module state again.
+        """
+        model = rung.model.eval()
         if ir is None:
             ir = extract_ir(model, *model.example_inputs())
         plan = lower_to_plan(ir)
@@ -1023,6 +1026,5 @@ class InferenceEngine:
         """
         from repro.core.packing import restore_model
         report = restore_model(blob, architecture)
-        architecture.eval()
         return InferenceEngine(architecture, device, deadline_s,
                                ir=report.ir, **engine_kwargs)

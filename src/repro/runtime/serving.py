@@ -213,7 +213,6 @@ class ReplicaSpec:
                     raise ValueError(
                         f"replica blob for rung {name!r} embeds no "
                         f"ModelIR — pack with pack_model(model, ir=...)")
-                model.eval()
                 rungs.append(LadderRung(name=name, model=model,
                                         ir=report.ir,
                                         miss_limit=miss_limit))

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.cli import main
 from repro.core import UPAQCompressor, hck_config
 from repro.hardware import default_devices
@@ -21,7 +22,7 @@ from repro.models import PointPillars
 from repro.pointcloud import (LidarConfig, PillarConfig, SceneConfig,
                               SceneGenerator)
 from repro.runtime import (DegradationLadder, DegradationPolicy,
-                           InferenceEngine, LadderRung)
+                           InferenceEngine, LadderRung, ServingEngine)
 
 
 def _tiny_pp(seed=1):
@@ -159,6 +160,39 @@ class TestMidWindowFaults:
                 == [False, False, True, True, True, True]
         assert batched.frames == sequential.frames
         assert _boxes(batched) == _boxes(sequential)
+
+
+class TestEvalOnce:
+    """The engine switches every rung to eval once, at construction;
+    inference after that never writes module state."""
+
+    def test_construction_evals_every_rung(self, compressed, jetson):
+        float_model = _tiny_pp(seed=2)
+        compressed.model.train()
+        float_model.train()
+        InferenceEngine(None, jetson, ladder=DegradationLadder([
+            LadderRung(name="hck", model=compressed.model,
+                       ir=compressed.ir),
+            LadderRung(name="float", model=float_model)]))
+        for model in (compressed.model, float_model):
+            assert not any(m.training for m in model.modules())
+
+    def test_inference_never_calls_eval(self, compressed, scenes, jetson,
+                                        monkeypatch):
+        engines = [InferenceEngine(compressed.model, jetson,
+                                   execution="lowered", ir=compressed.ir,
+                                   batch_size=n) for n in (1, 4)]
+        serving = ServingEngine(engines[1], replicas=2)
+        calls = []
+        original = nn.Module.eval
+        monkeypatch.setattr(nn.Module, "eval",
+                            lambda self: calls.append(self) or original(self))
+        for engine in engines:
+            assert len(engine.run(scenes).predictions) == len(scenes)
+        with serving:
+            reports = serving.serve({"a": scenes, "b": scenes[:3]})
+        assert len(reports["a"].predictions) == len(scenes)
+        assert calls == []
 
 
 class TestBatchSizeValidation:
