@@ -99,6 +99,23 @@ class Linear(Module):
         return f"Linear({self.in_features}, {self.out_features})"
 
 
+def batchnorm_eval(x: np.ndarray, constants: tuple,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Eval batch norm of float32 ``x``: ``(x - mean) / std * gamma +
+    beta`` with ``constants`` from :meth:`_BatchNorm.eval_constants`.
+
+    The subtract writes ``out`` (a new array when ``None``; ``x`` itself
+    normalizes in place) and the other three ops run in place on it, so
+    every caller rounds exactly as the graph path does.
+    """
+    mean, std, gamma, beta = constants
+    out = np.subtract(x, mean, out=out)
+    out /= std
+    out *= gamma
+    out += beta
+    return out
+
+
 class _BatchNorm(Module):
     """Shared batch-norm machinery; subclasses pick the reduced axes.
 
@@ -109,7 +126,9 @@ class _BatchNorm(Module):
     the same order as the graph path, so outputs are byte-identical;
     nothing is cached, so ``load_state_dict`` and in-place buffer
     rewrites take effect on the next call.  Training and grad-enabled
-    eval keep the autograd graph.
+    eval keep the autograd graph.  (A lowered program is a snapshot
+    instead: it reads :meth:`eval_constants` once, when it binds the
+    model — see :mod:`repro.runtime.executors`.)
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5,
@@ -125,19 +144,25 @@ class _BatchNorm(Module):
         self.register_buffer("running_var",
                              np.ones(num_features, dtype=np.float32))
 
-    def _normalize(self, x: Tensor, axes: tuple, param_shape: tuple) -> Tensor:
+    def eval_constants(self) -> tuple:
+        """``(mean, std, gamma, beta)`` of eval normalization, shaped to
+        broadcast over the input and read from the current buffers.
+
+        The same values the graph path uses: ``Tensor(...)`` coerces
+        the buffers exactly as ``_as_array`` does, ``var + eps`` adds a
+        float32 eps, and ``Tensor.__pow__`` is ``np.power``.
+        """
+        shape = self.param_shape
+        mean = _as_array(self.running_mean.reshape(shape))
+        var = _as_array(self.running_var.reshape(shape))
+        return (mean, np.power(var + np.float32(self.eps), 0.5),
+                self.weight.data.reshape(shape),
+                self.bias.data.reshape(shape))
+
+    def _normalize(self, x: Tensor, axes: tuple) -> Tensor:
         if not self.training and not is_grad_enabled():
-            # Same ops as the graph path below: Tensor(...) coerces the
-            # buffers exactly as _as_array does, ``var + eps`` adds a
-            # float32 eps, and Tensor.__pow__ is np.power.  The first
-            # subtract allocates the output; the rest run in place on it.
-            mean = _as_array(self.running_mean.reshape(param_shape))
-            var = _as_array(self.running_var.reshape(param_shape))
-            out = x.data - mean
-            out /= np.power(var + np.float32(self.eps), 0.5)
-            out *= self.weight.data.reshape(param_shape)
-            out += self.bias.data.reshape(param_shape)
-            return Tensor(out)
+            return Tensor(batchnorm_eval(x.data, self.eval_constants()))
+        param_shape = self.param_shape
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
@@ -165,15 +190,23 @@ class _BatchNorm(Module):
 class BatchNorm2d(_BatchNorm):
     """Batch norm over (N, H, W) per channel for NCHW tensors."""
 
+    @property
+    def param_shape(self) -> tuple:
+        return (1, self.num_features, 1, 1)
+
     def forward(self, x: Tensor) -> Tensor:
-        return self._normalize(x, (0, 2, 3), (1, self.num_features, 1, 1))
+        return self._normalize(x, (0, 2, 3))
 
 
 class BatchNorm1d(_BatchNorm):
     """Batch norm over the leading axis for (N, C) tensors."""
 
+    @property
+    def param_shape(self) -> tuple:
+        return (1, self.num_features)
+
     def forward(self, x: Tensor) -> Tensor:
-        return self._normalize(x, (0,), (1, self.num_features))
+        return self._normalize(x, (0,))
 
 
 class ReLU(Module):

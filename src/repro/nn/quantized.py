@@ -68,7 +68,10 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
 * The epilogue multiplies the accumulator by a rescale precomputed in
   :meth:`_compact` with ``np.multiply(..., dtype=float64)`` — the same
   elementwise product as before, without a cast copy — and adds the
-  bias in place.
+  bias in place.  :class:`QuantizedConv2d` takes an optional
+  ``epilogue`` callable that then rewrites its float32 output in place;
+  :class:`repro.runtime.executors.LoweredProgram` passes one to run a
+  ``ConvBNReLU`` block's BatchNorm and ReLU there.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ _MAX_SHAPE_PLANS = 16
 
 #: Memo miss marker: a plan may legitimately be ``None`` (identity).
 _MISSING = object()
+
+#: The ``clip`` ufunc that ``np.clip`` reaches through a Python-level
+#: wrapper; called directly it writes the same bytes for less overhead.
+_clip = np._core.umath.clip
 
 #: Guards every get / evict / insert on every executor's plan memo.  The
 #: critical sections are dict operations only, so one lock shared by
@@ -194,11 +201,14 @@ def _quantize_into(x: np.ndarray, scale: float, bits: int,
     calibrated range.  Counting never changes the codes.
     """
     max_code = 2 ** (bits - 1) - 1
-    rounded = np.round(x / scale)
+    # One temporary: the divide allocates it, ``rint`` (what
+    # ``np.round`` runs at zero decimals) and the clip ufunc work in it.
+    rounded = np.divide(x, scale)
+    np.rint(rounded, out=rounded)
     if telemetry is not None:
         telemetry.record_quantization(
             rounded.size, int((np.abs(rounded) > max_code).sum()))
-    np.clip(rounded, -max_code, max_code, out=rounded)
+    _clip(rounded, -max_code, max_code, out=rounded)
     out[...] = rounded
     return out
 
@@ -342,7 +352,8 @@ class QuantizedConv2d(Module):
                 telemetry.record_accumulator(acc.min(), acc.max())
         return acc
 
-    def _finish(self, acc: np.ndarray, input_shape: tuple) -> Tensor:
+    def _finish(self, acc: np.ndarray, input_shape: tuple,
+                epilogue=None) -> Tensor:
         n, _, h, w = input_shape
         out_c = self.weight_codes.shape[0]
         kernel = self.weight_codes.shape[-1]
@@ -359,13 +370,20 @@ class QuantizedConv2d(Module):
             # accumulator.  Adding 0.0 maps -0.0 to +0.0 and is the
             # identity elsewhere, so output bytes do not depend on it.
             out += 0.0
-        return Tensor(out.astype(np.float32))
+        out = out.astype(np.float32)
+        if epilogue is not None:
+            epilogue(out)
+        return Tensor(out)
 
-    def forward(self, x: Tensor, *, telemetry=None) -> Tensor:
+    def forward(self, x: Tensor, *, telemetry=None, epilogue=None) -> Tensor:
+        """``epilogue``, when given, is called once on the float32
+        output array, which it may rewrite in place (the lowered
+        program runs a block's BatchNorm and ReLU this way)."""
         data = _as_array(x)
         # The integer core: exact accumulation of the codes, exactly as
         # a deployment engine's INT8 MACs with a 32/64-bit accumulator.
-        return self._finish(self._accumulate(data, telemetry), data.shape)
+        return self._finish(self._accumulate(data, telemetry), data.shape,
+                            epilogue)
 
     def fake_quant_reference(self, x: Tensor) -> Tensor:
         """The float32 training-side view: dequantized weights convolved

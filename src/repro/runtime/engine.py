@@ -420,12 +420,15 @@ class _LadderLevel:
 
         The rung's model is put in eval mode here, once, before it is
         traced or lowered; inference never writes module state again.
+        The program binds the model here too, so its BatchNorm
+        constants are read at lowering, like the executors' weights.
         """
         model = rung.model.eval()
         if ir is None:
             ir = extract_ir(model, *model.example_inputs())
         plan = lower_to_plan(ir)
         program = LoweredProgram(lower_executors(ir, model), mode=execution)
+        program._bind(model)
         breakdown = tuple(plan.cost_breakdown(device))
         latency, energy = device.latency(plan), device.energy(plan)
         return cls(rung, ir, plan, program, latency, energy, breakdown,
